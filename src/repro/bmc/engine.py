@@ -142,8 +142,10 @@ class BoundStats:
     learned_clauses: int = 0
     #: Learned clauses alive in the shared database after this bound --
     #: i.e. the clauses the *next* bound starts from.  A growing number
-    #: here is the signature of cross-bound reuse.
-    learned_clauses_carried: int = 0
+    #: here is the signature of cross-bound reuse.  ``None`` in split mode
+    #: when no solver persists across bounds (worker pools), so there is
+    #: no database to carry.
+    learned_clauses_carried: Optional[int] = 0
     #: Formula growth caused by this bound (new frames + window encoding),
     #: measured *after* preprocessing reduced the slab.
     new_variables: int = 0
@@ -318,8 +320,9 @@ class BMCResult:
         return self.total_propagations / seconds
 
     @property
-    def learned_clauses_carried(self) -> int:
-        """Learned clauses alive in the solver after the final bound."""
+    def learned_clauses_carried(self) -> Optional[int]:
+        """Learned clauses alive in the solver after the final bound
+        (``None`` when no solver persisted; see :class:`BoundStats`)."""
         if not self.per_bound_stats:
             return 0
         return self.per_bound_stats[-1].learned_clauses_carried
@@ -337,7 +340,7 @@ class BMCResult:
         for stats in self.per_bound_stats:
             if stats.verdict != "skipped":
                 reused += previous
-            previous = stats.learned_clauses_carried
+            previous = stats.learned_clauses_carried or 0
         return reused
 
     @property
@@ -565,11 +568,24 @@ class BoundedModelChecker:
         solver = self._solver
         solver.ensure_num_vars(self._cnf.num_vars)
         clauses = self._cnf.clauses
-        while self._clauses_fed < len(clauses):
-            solver.add_clause(clauses[self._clauses_fed])
-            self._clauses_fed += 1
+        solver.add_clauses(clauses[self._clauses_fed :])
+        self._clauses_fed = len(clauses)
         self._vars_fed = self._cnf.num_vars
         return solver
+
+    def _learned_carried(self) -> Optional[int]:
+        """Learned clauses alive in the solver the next bound reuses.
+
+        Sequential mode reads the engine's own solver (0 before it
+        exists).  Split mode reads the inline single-worker scheduler's
+        reused solver; when no solver persists across bounds (worker
+        pools, portfolio races, preprocessing personalities) nothing is
+        carried and the count is ``None`` rather than a made-up 0.
+        """
+        if self.problem.split is not None:
+            scheduler = self._dist_scheduler
+            return scheduler.carried_learned_clauses if scheduler else None
+        return self._solver.num_learned_clauses if self._solver else 0
 
     def _encode_new_frames(self, bound: int) -> None:
         """Unroll the frames ``[frames_encoded, bound)`` and queue their
@@ -1046,11 +1062,7 @@ class BoundedModelChecker:
                         ),
                         runtime_seconds=0.0,
                         verdict="unknown",
-                        learned_clauses_carried=(
-                            self._solver.num_learned_clauses
-                            if self._solver
-                            else 0
-                        ),
+                        learned_clauses_carried=self._learned_carried(),
                     )
                 )
                 break
@@ -1078,11 +1090,7 @@ class BoundedModelChecker:
                         window_start=window_start,
                         runtime_seconds=elapsed,
                         verdict="skipped",
-                        learned_clauses_carried=(
-                            self._solver.num_learned_clauses
-                            if self._solver
-                            else 0
-                        ),
+                        learned_clauses_carried=self._learned_carried(),
                         new_variables=self._cnf.num_vars - vars_before,
                         new_clauses=self._cnf.num_clauses - clauses_before,
                     )
@@ -1153,7 +1161,7 @@ class BoundedModelChecker:
                     solve_results = [result]
                 if result.is_unsat:
                     self._retire_window(activation_var, window_start, bound)
-                learned_carried = 0
+                learned_carried = self._learned_carried()
                 # Scheduler wall time: cube solving only -- query building
                 # (look-ahead split scoring) and window retirement are not
                 # solver throughput.
@@ -1186,7 +1194,7 @@ class BoundedModelChecker:
                 if result.is_unsat:
                     self._retire_window(activation_var, window_start, bound)
                     self._sync_solver()
-                learned_carried = solver.num_learned_clauses
+                learned_carried = self._learned_carried()
                 solve_span.close(verdict=result.status.value)
 
             elapsed = time.perf_counter() - bound_start

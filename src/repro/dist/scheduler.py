@@ -268,7 +268,7 @@ class SplitQuery:
     engine's per-bound contract: earlier clauses are never edited, the
     formula only grows).  The inline single-worker path then reuses its
     solver across queries -- new clauses are fed through the solver's
-    incremental ``add_clause`` and learned clauses carry over between
+    incremental ``add_clauses`` and learned clauses carry over between
     bounds, exactly like the sequential engine's solver reuse.  Leave it
     ``False`` (the default) for standalone queries.
     """
@@ -340,6 +340,13 @@ class WorkScheduler:
         #: clauses of the (growing) query clause list it has been fed.
         self._inline_solver = None
         self._inline_clauses_fed = 0
+
+    @property
+    def carried_learned_clauses(self) -> Optional[int]:
+        """Learned clauses in the inline solver the next incremental query
+        reuses; ``None`` when no solver persists across queries."""
+        solver = self._inline_solver
+        return None if solver is None else solver.num_learned_clauses
 
     # ------------------------------------------------------------------
     def solve(
@@ -520,7 +527,7 @@ class WorkScheduler:
         whole-formula preprocessing (a preprocessed solver's variable space
         is reduction-specific, so it cannot absorb raw appended clauses).
         The reused solver is grown with ``ensure_num_vars`` and fed the
-        clause tail through the incremental ``add_clause`` path; everything
+        clause tail in one incremental ``add_clauses`` call; everything
         it learned in earlier queries is implied by the (monotonically
         growing) clause database, so carrying it over is sound.
         """
@@ -533,8 +540,7 @@ class WorkScheduler:
         ):
             solver.ensure_num_vars(query.num_vars)
             clauses = query.clauses
-            for index in range(self._inline_clauses_fed, len(clauses)):
-                solver.add_clause(clauses[index])
+            solver.add_clauses(clauses[self._inline_clauses_fed :])
             self._inline_clauses_fed = len(clauses)
             return solver, None
         solver, reduction = personality.build_solver(
@@ -984,13 +990,14 @@ def _pool_worker(  # fork-entry
         faults.crash_point("dist.scheduler.cube")
         imported = 0
         if inboxes is not None:
+            shared = []
             for _ in range(256):
                 try:
-                    clause = inboxes[worker_id].get_nowait()
+                    shared.append(inboxes[worker_id].get_nowait())
                 except queue_module.Empty:
                     break
-                solver.add_clause(clause)
-                imported += 1
+            solver.add_clauses(shared)
+            imported = len(shared)
         cube_start = time.perf_counter()
         cube_span = obs_trace.span(
             "dist.cube", worker=worker_id, depth=depth, literals=len(literals)

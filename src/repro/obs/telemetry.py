@@ -115,8 +115,11 @@ class TelemetrySink:
         self._total = 0
         self._flushed_total = 0
         self._seq = 0
-        self._last_sample = 0.0
-        self._last_flush = 0.0
+        # Monotonic instants of the last sample/flush; ``None`` = never.
+        # (A 0.0 seed would read as "sampled at boot", so a host booted
+        # less than one interval ago would throttle its first heartbeat.)
+        self._last_sample: Optional[float] = None
+        self._last_flush: Optional[float] = None
         self._window: List[Tuple[float, int]] = []
         self._context: Dict[str, object] = {}
         self._on_flush = on_flush
@@ -129,8 +132,10 @@ class TelemetrySink:
         heartbeat construction with this, so a restart storm samples at a
         bounded rate instead of once per restart.
         """
+        last = self._last_sample
         return (
-            time.monotonic() - self._last_sample >= self.min_interval_seconds
+            last is None
+            or time.monotonic() - last >= self.min_interval_seconds
         )
 
     def record(self, site: str, **fields: object) -> dict:
@@ -230,7 +235,12 @@ class TelemetrySink:
         if pending <= 0:
             return
         now = time.monotonic()
-        if not force and now - self._last_flush < self.flush_interval_seconds:
+        last = self._last_flush
+        if (
+            not force
+            and last is not None
+            and now - last < self.flush_interval_seconds
+        ):
             return
         batch = list(self.heartbeats[max(0, len(self.heartbeats) - pending) :])
         self._flushed_total = self._total

@@ -101,14 +101,18 @@ the industrial cores.
 from __future__ import annotations
 
 import heapq
+import weakref
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.deadline import Deadline
 from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
+from repro.sat import native
 from repro.sat.cnf import CNF, Literal, var_of
 
 _UNASSIGNED = -1
@@ -213,8 +217,14 @@ def _luby(i: int) -> int:
     return 1 << sequences
 
 
-class CDCLSolver:
-    """Conflict-driven clause-learning SAT solver over a flat clause arena."""
+class ReferenceCDCLSolver:
+    """Pure-Python CDCL solver over a flat clause arena.
+
+    The lockstep reference of the native search core: :class:`CDCLSolver`
+    makes the same decisions, learns the same clauses and counts the same
+    work on every call.  It is what :class:`CDCLSolver` falls back to on a
+    host without a C compiler.
+    """
 
     def __init__(
         self,
@@ -1498,6 +1508,314 @@ class CDCLSolver:
                             SolverStatus.UNKNOWN,
                             stats=self._call_stats(entry, call_max_level),
                         )
+
+
+class CDCLSolver:
+    """The library's CDCL solver: the native search core (``cdcl.c``).
+
+    Same public API, same search and same observable behaviour as
+    :class:`ReferenceCDCLSolver` -- identical conflicts, decisions,
+    propagations, restarts, learned and exported clauses and models on
+    every call -- with all search state held in C.  The C search runs
+    until a cold event (verdict, conflict budget, restart, database
+    reduction, deadline poll stride); :meth:`solve` handles each event
+    exactly like the reference's cold branches (trace events,
+    ``qed_solver_*`` metrics, telemetry heartbeats, deadline polls).
+
+    The core is compiled and loaded on the first construction (see
+    :mod:`repro.sat.native`).  When it is unavailable, construction
+    returns a :class:`ReferenceCDCLSolver` instead, so ``CDCLSolver(cnf)``
+    always yields a working solver.
+    """
+
+    def __new__(
+        cls,
+        cnf: CNF,
+        *,
+        restart_base: int = 100,
+        var_decay: float = 0.95,
+        clause_decay: float = 0.999,
+        default_phase: bool = False,
+    ) -> "CDCLSolver":
+        if native.load_library() is None:
+            # Same API and search; typed as CDCLSolver for callers.
+            return cast(
+                CDCLSolver,
+                ReferenceCDCLSolver(
+                    cnf,
+                    restart_base=restart_base,
+                    var_decay=var_decay,
+                    clause_decay=clause_decay,
+                    default_phase=default_phase,
+                ),
+            )
+        return super().__new__(cls)
+
+    def __init__(
+        self,
+        cnf: CNF,
+        *,
+        restart_base: int = 100,
+        var_decay: float = 0.95,
+        clause_decay: float = 0.999,
+        default_phase: bool = False,
+    ) -> None:
+        lib = native.load_library()
+        assert lib is not None  # __new__ returned the reference otherwise
+        self._lib = lib
+        self._handle: int = lib.qs_new(
+            int(default_phase), var_decay, clause_decay, restart_base
+        )
+        weakref.finalize(self, lib.qs_free, self._handle)
+        self._info = native.info_view(lib, self._handle)
+        self.ensure_num_vars(cnf.num_vars)
+        self.add_clauses(cnf.clauses)
+
+    # ------------------------------------------------------------------
+    @property
+    def num_vars(self) -> int:
+        """Number of variables the solver currently knows about."""
+        return int(self._info[native.NUM_VARS])
+
+    def ensure_num_vars(self, num_vars: int) -> None:
+        """Grow the variable space so indices ``1..num_vars`` are valid."""
+        self._lib.qs_ensure_vars(self._handle, num_vars)
+
+    def add_clause(self, literals: Sequence[Literal]) -> None:
+        """Add an original clause; legal between :meth:`solve` calls."""
+        self.add_clauses((literals,))
+
+    def add_clauses(self, clauses: Iterable[Sequence[Literal]]) -> None:
+        """Add several original clauses between solve calls.
+
+        The clauses cross into C as one flat literal buffer plus a length
+        buffer; each is then added exactly as :meth:`add_clause` would.
+        """
+        batch = clauses if isinstance(clauses, list) else list(clauses)
+        lengths = array("i", map(len, batch))
+        literals = array("i", chain.from_iterable(batch))
+        self._lib.qs_add_clauses(
+            self._handle,
+            lengths.buffer_info()[0],
+            len(lengths),
+            literals.buffer_info()[0],
+        )
+
+    def enable_clause_export(
+        self, max_lbd: int = 3, max_length: int = 8
+    ) -> None:
+        """Start buffering short, low-LBD learned clauses for sharing
+        (see :meth:`ReferenceCDCLSolver.enable_clause_export`)."""
+        self._lib.qs_set_export(self._handle, max_lbd, max_length)
+
+    def drain_exported(self) -> List[List[Literal]]:
+        """Return (and clear) the clauses buffered since the last drain."""
+        size = int(self._info[native.EXPORTED_LEN])
+        if not size:
+            return []
+        flat = array("i", bytes(4 * size))
+        self._lib.qs_drain_exported(self._handle, flat.buffer_info()[0])
+        exported: List[List[Literal]] = []
+        clause: List[Literal] = []
+        for lit in flat:
+            if lit:
+                clause.append(lit)
+            else:
+                exported.append(clause)
+                clause = []
+        return exported
+
+    @property
+    def num_learned_clauses(self) -> int:
+        """Learned clauses currently in the database (survivors of reduction)."""
+        return int(self._info[native.LEARNED_LIVE])
+
+    @property
+    def _reduce_threshold(self) -> int:
+        """Learned clauses allowed before the next database reduction."""
+        return int(self._info[native.REDUCE_THRESHOLD])
+
+    @_reduce_threshold.setter
+    def _reduce_threshold(self, value: int) -> None:
+        self._info[native.REDUCE_THRESHOLD] = value
+
+    @property
+    def stats(self) -> SolverStats:
+        """Cumulative counters over the solver's lifetime (a snapshot)."""
+        info = self._info
+        return SolverStats(
+            decisions=info[native.DECISIONS],
+            propagations=info[native.PROPAGATIONS],
+            conflicts=info[native.CONFLICTS],
+            restarts=info[native.RESTARTS],
+            learned_clauses=info[native.LEARNED_CLAUSES],
+            max_decision_level=info[native.MAX_DECISION_LEVEL],
+        )
+
+    # ------------------------------------------------------------------
+    def _lbd_histogram(self) -> Dict[int, int]:
+        """LBD distribution of the live learned clauses (cold path)."""
+        lbds = array("i", bytes(4 * self.num_learned_clauses))
+        count = self._lib.qs_learned_lbds(self._handle, lbds.buffer_info()[0])
+        histogram: Dict[int, int] = {}
+        for lbd in lbds[:count]:
+            histogram[lbd] = histogram.get(lbd, 0) + 1
+        return histogram
+
+    def _sample_heartbeat(
+        self,
+        sink: obs_telemetry.TelemetrySink,
+        site: str,
+        *,
+        restart_interval: Optional[int] = None,
+        with_lbd: bool = False,
+    ) -> None:
+        """Record one telemetry heartbeat from read-only search state
+        (the fields of :meth:`ReferenceCDCLSolver._sample_heartbeat`)."""
+        info = self._info
+        fields: Dict[str, object] = {
+            "conflicts": info[native.CONFLICTS],
+            "decisions": info[native.DECISIONS],
+            "propagations": info[native.PROPAGATIONS],
+            "restarts": info[native.RESTARTS],
+            "learned": info[native.LEARNED_CLAUSES],
+            "trail_depth": info[native.TRAIL_LEN],
+            "decision_level": info[native.DECISION_LEVEL],
+            "learned_live": info[native.LEARNED_LIVE],
+            "arena_len": info[native.ARENA_LEN],
+        }
+        if restart_interval is not None:
+            fields["restart_interval"] = restart_interval
+        if with_lbd:
+            fields["lbd_hist"] = self._lbd_histogram()
+        sink.record(site, **fields)
+
+    def _result(
+        self,
+        status: SolverStatus,
+        entry: SolverStats,
+        model: Optional[List[bool]] = None,
+    ) -> SolverResult:
+        """Finish a call: fold its deepest level into the lifetime stats."""
+        info = self._info
+        call_max_level = info[native.CALL_MAX_LEVEL]
+        if call_max_level > info[native.MAX_DECISION_LEVEL]:
+            info[native.MAX_DECISION_LEVEL] = call_max_level
+        stats = self.stats
+        return SolverResult(
+            status,
+            model=model,
+            stats=SolverStats(
+                decisions=stats.decisions - entry.decisions,
+                propagations=stats.propagations - entry.propagations,
+                conflicts=stats.conflicts - entry.conflicts,
+                restarts=stats.restarts - entry.restarts,
+                learned_clauses=stats.learned_clauses - entry.learned_clauses,
+                max_decision_level=call_max_level,
+            ),
+        )
+
+    def solve(
+        self,
+        assumptions: Iterable[Literal] = (),
+        *,
+        max_conflicts: Optional[int] = None,
+        deadline: Optional[Deadline] = None,
+    ) -> SolverResult:
+        """Solve the formula, optionally under *assumptions*.
+
+        Same contract as :meth:`ReferenceCDCLSolver.solve`: every call
+        starts from decision level 0, ``max_conflicts`` bounds this call
+        (UNKNOWN when exhausted) and ``deadline`` is polled every few
+        hundred conflicts/decisions and at every restart.
+        """
+        lib = self._lib
+        handle = self._handle
+        info = self._info
+        entry = self.stats
+        info[native.CALL_MAX_LEVEL] = 0
+        observer = obs_trace.active()
+        telemetry = obs_telemetry.active()
+
+        lib.qs_backjump0(handle)
+        if info[native.TRIVIALLY_UNSAT]:
+            return self._result(SolverStatus.UNSAT, entry)
+        if deadline is not None and deadline.expired():
+            return self._result(SolverStatus.UNKNOWN, entry)
+        encoded = array("i", assumptions)
+        event = lib.qs_solve_start(
+            handle,
+            encoded.buffer_info()[0],
+            len(encoded),
+            -1 if max_conflicts is None else min(max_conflicts, 1 << 62),
+            deadline is not None,
+        )
+        # Cold events only: the C search returns at most once per
+        # restart, reduction or deadline stride.
+        while event == native.EV_CONTINUE:
+            event = lib.qs_search(handle)
+            if event == native.EV_RESTART:
+                interval = info[native.RESTART_INTERVAL]
+                if observer is not None:
+                    observer.event(
+                        "solver.restart",
+                        {
+                            "conflicts": info[native.CONFLICTS]
+                            - entry.conflicts,
+                            "next_interval": interval,
+                        },
+                    )
+                obs_metrics.process_metrics().inc("qed_solver_restarts_total")
+                if telemetry is not None and telemetry.due():
+                    # Sampled before the backjump, as in the reference.
+                    self._sample_heartbeat(
+                        telemetry,
+                        "restart",
+                        restart_interval=interval,
+                        with_lbd=True,
+                    )
+                lib.qs_backjump0(handle)
+                if deadline is not None and deadline.expired():
+                    return self._result(SolverStatus.UNKNOWN, entry)
+                event = native.EV_CONTINUE
+            elif event == native.EV_REDUCED:
+                if observer is not None:
+                    observer.event(
+                        "solver.db_reduce",
+                        {
+                            "before": info[native.REDUCE_BEFORE],
+                            "after": info[native.LEARNED_LIVE],
+                        },
+                    )
+                obs_metrics.process_metrics().inc(
+                    "qed_solver_db_reductions_total"
+                )
+                if telemetry is not None and telemetry.due():
+                    self._sample_heartbeat(telemetry, "db_reduce", with_lbd=True)
+                event = native.EV_CONTINUE
+            elif event == native.EV_POLL:
+                assert deadline is not None
+                if observer is not None:
+                    observer.event(
+                        "solver.deadline_poll",
+                        {"remaining": deadline.remaining()},
+                    )
+                if telemetry is not None and telemetry.due():
+                    self._sample_heartbeat(telemetry, "deadline_poll")
+                if deadline.expired():
+                    lib.qs_backjump0(handle)
+                    return self._result(SolverStatus.UNKNOWN, entry)
+                event = native.EV_CONTINUE
+
+        if event == native.EV_SAT:
+            values = array("b", bytes(self.num_vars + 1))
+            lib.qs_model(handle, values.buffer_info()[0])
+            return self._result(
+                SolverStatus.SAT, entry, model=list(map(bool, values))
+            )
+        if event == native.EV_BUDGET:
+            return self._result(SolverStatus.UNKNOWN, entry)
+        return self._result(SolverStatus.UNSAT, entry)
 
 
 def solve(
