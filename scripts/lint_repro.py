@@ -14,6 +14,9 @@ Four passes, all static (no solving):
    mypy is importable.  The container image does not ship mypy, so this
    pass silently skips locally and runs in CI (the ``lint`` job installs
    it); the skip is reported in the summary.
+5. **Native core warnings**: compiles ``src/repro/sat/cdcl.c`` with the
+   build flags of :mod:`repro.sat.native` plus ``-Wall -Wextra -Werror``
+   (skipped, and reported, when ``gcc`` is not on ``PATH``).
 
 Exit status is non-zero iff any pass produced an error-severity finding
 (warnings never fail the run).  This script is the CI ``lint`` job's entry
@@ -116,6 +119,36 @@ def run_mypy() -> tuple:
     return report, True
 
 
+def run_native_warnings() -> tuple:
+    """(report, ran) -- ran is False when no C compiler is available."""
+    import subprocess
+    import tempfile
+
+    from repro.sat import native
+
+    report = LintReport(subject="native")
+    cc = native.compiler()
+    if cc is None:
+        return report, False
+    with tempfile.TemporaryDirectory() as scratch:
+        built = subprocess.run(
+            [cc, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", os.path.join(scratch, "cdcl.so"), str(native.SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+    if built.returncode != 0:
+        for line in built.stderr.splitlines():
+            if "error:" in line:
+                where, _, message = line.partition(" error:")
+                report.add(
+                    "native.warning", where.strip().rstrip(":"), message.strip()
+                )
+        if not report.errors:
+            report.add("native.build", str(native.SOURCE), built.stderr.strip())
+    return report, True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -141,6 +174,9 @@ def main(argv=None) -> int:
         mypy_report, mypy_ran = run_mypy()
         if mypy_ran:
             reports["mypy"] = mypy_report
+    native_report, native_ran = run_native_warnings()
+    if native_ran:
+        reports["native"] = native_report
     elapsed = time.perf_counter() - start
 
     total_errors = sum(len(r.errors) for r in reports.values())
@@ -154,6 +190,7 @@ def main(argv=None) -> int:
                     "errors": total_errors,
                     "warnings": total_warnings,
                     "mypy_ran": mypy_ran,
+                    "native_ran": native_ran,
                     "seconds": round(elapsed, 3),
                     "passes": {
                         name: report.to_json_dict()
@@ -174,6 +211,8 @@ def main(argv=None) -> int:
                 print("    " + finding.render())
         if not args.skip_mypy and not mypy_ran:
             print("[skip] mypy: not installed (CI installs it)")
+        if not native_ran:
+            print("[skip] native: gcc not on PATH")
         print(
             f"lint: {total_errors} error(s), {total_warnings} warning(s) "
             f"in {elapsed:.1f}s"

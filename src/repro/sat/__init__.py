@@ -8,7 +8,9 @@ the same pipeline from scratch).  This package provides:
   input/output.
 * :mod:`repro.sat.solver` -- a CDCL (conflict-driven clause learning) solver
   with two-watched-literal propagation, VSIDS branching, first-UIP conflict
-  analysis, Luby restarts and phase saving.
+  analysis, Luby restarts and phase saving.  Its search runs in a native C
+  core (:mod:`repro.sat.native` builds it on first use); the pure-Python
+  ``ReferenceCDCLSolver`` is the bit-identical reference and fallback.
 * :mod:`repro.sat.preprocess` -- the single preprocessing code path:
   SatELite-style formula reduction (bounded variable elimination,
   subsumption, self-subsuming resolution, failed-literal probing, optional

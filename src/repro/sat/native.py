@@ -27,7 +27,7 @@ import os
 import shutil
 import subprocess
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # ctypes/hashlib load on first use, not at import
     import ctypes
@@ -131,7 +131,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64,
         ctypes.c_double,
     )
-    signatures = {
+    signatures: Dict[str, Tuple[Any, List[Any]]] = {
         "qs_new": (ptr, [i32, f64, f64, i32]),
         "qs_free": (None, [ptr]),
         "qs_info": (ptr, [ptr]),

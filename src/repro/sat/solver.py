@@ -26,6 +26,19 @@ relies on:
   check :attr:`SolverResult.is_unsat` (or ``status``), never ``not
   result.satisfiable``, when a definitive refutation is required.
 
+Backends
+--------
+
+:class:`CDCLSolver` runs the search in a native C core (``cdcl.c``,
+built and loaded by :mod:`repro.sat.native` on first construction).
+:class:`ReferenceCDCLSolver` is the same solver in pure Python: the
+lockstep reference the native core is tested against, and what
+``CDCLSolver(...)`` returns on a host without a C compiler.  Both make the
+identical search -- the same decisions, conflicts, propagations, learned
+and exported clauses and models on every call.  The layout and
+algorithms below describe both; the Python-specific notes (list versus
+``array``, inlining) concern the reference.
+
 Clause arena layout
 -------------------
 

@@ -143,17 +143,19 @@ class TestIncrementalEngine:
     def construction_counters(self, monkeypatch):
         counters = {"solver": 0, "builder": 0}
 
-        class CountingSolver(CDCLSolver):
-            def __init__(self, *args, **kwargs):
-                counters["solver"] += 1
-                super().__init__(*args, **kwargs)
+        def counting_solver(*args, **kwargs):
+            # A factory rather than a subclass: without a C compiler,
+            # constructing CDCLSolver yields the reference class, which
+            # would skip a subclass's __init__.
+            counters["solver"] += 1
+            return CDCLSolver(*args, **kwargs)
 
         class CountingBuilder(CNFBuilder):
             def __init__(self, *args, **kwargs):
                 counters["builder"] += 1
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "CDCLSolver", CountingSolver)
+        monkeypatch.setattr(engine_module, "CDCLSolver", counting_solver)
         monkeypatch.setattr(engine_module, "CNFBuilder", CountingBuilder)
         return counters
 

@@ -5,6 +5,7 @@ import pytest
 from repro.bmc import BMCProblem, BMCStatus, BoundedModelChecker, SafetyProperty
 from repro.dist import SplitConfig
 from repro.expr import BVConst, BVVar, mux
+from repro.qed import QEDMode, SymbolicQED
 from repro.rtl import Circuit, elaborate
 
 
@@ -128,6 +129,46 @@ class TestDistStatsPlumbing:
         result = BoundedModelChecker(problem).run()
         assert result.status is BMCStatus.VIOLATION
         assert result.counterexample is not None
+
+
+class TestLearnedCarried:
+    """``learned_clauses_carried`` in split mode is a measurement."""
+
+    @staticmethod
+    def _depth_run(workers):
+        harness = SymbolicQED(
+            "B.v6",
+            mode=QEDMode.EDDIV_CF,
+            focus_opcodes=["LDI", "ADD", "CMPI", "BZ"],
+            tracked_registers=(0,),
+        )
+        return harness.check(
+            max_bound=5 if workers == 1 else 4,
+            single_query=False,
+            max_conflicts_per_query=3000,
+            split=SplitConfig(workers=workers, cube_conflict_budget=1500),
+        ).bmc_result
+
+    def test_inline_single_worker_reports_its_solver(self):
+        # The inline scheduler reuses one solver across bounds, so the
+        # learned clauses it carries are real and feed the reuse total.
+        result = self._depth_run(workers=1)
+        queried = [s for s in result.per_bound_stats if s.verdict != "skipped"]
+        carried = [s.learned_clauses_carried for s in queried]
+        assert all(isinstance(count, int) for count in carried)
+        assert max(carried) > 0
+        assert result.learned_clauses_carried == carried[-1]
+        assert result.learned_clauses_reused > 0
+
+    def test_worker_pool_reports_none(self):
+        # No solver persists across bounds in a pool: nothing is carried,
+        # and the field says so instead of claiming 0.
+        result = self._depth_run(workers=2)
+        assert all(
+            s.learned_clauses_carried is None for s in result.per_bound_stats
+        )
+        assert result.learned_clauses_carried is None
+        assert result.learned_clauses_reused == 0
 
 
 class TestDeterminism:

@@ -1,15 +1,22 @@
-"""Differential testing of the flat-arena CDCL core.
+"""Differential testing of the flat-arena CDCL cores.
 
-Two oracles keep the solver honest after the arena rewrite:
+Every suite runs on both backends: :class:`CDCLSolver` (the native search
+core) and :class:`ReferenceCDCLSolver` (the pure-Python core), through a
+``...Reference`` subclass that swaps ``solver_class``.  Two oracles keep
+each solver honest:
 
 * a brute-force truth-table enumerator over seeded random CNFs (<= 16
   variables): the CDCL verdict must match exhaustive enumeration exactly,
   and every SAT model must actually satisfy every clause;
 * the solver's own clause-export buffer: exported learned clauses must be
   implied by the clause database even when an in-place database compaction
-  (:meth:`CDCLSolver._reduce_learned`) deletes or relocates the arena
-  clause between learning and draining -- the regression guard for the
-  copy-out-at-learn-time contract.
+  (``_reduce_learned``, ``reduce_learned`` in C) deletes or relocates the
+  arena clause between learning and draining -- the regression guard for
+  the copy-out-at-learn-time contract.
+
+A third check runs the two backends in lockstep: on the same formula,
+assumption sequence and interleaved clause additions they must return the
+same per-call statistics, models and exported clauses.
 """
 
 import random
@@ -17,7 +24,8 @@ import random
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.solver import CDCLSolver, SolverStatus
+from repro.sat import native
+from repro.sat.solver import CDCLSolver, ReferenceCDCLSolver, SolverStatus
 
 
 def _random_cnf(seed: int) -> CNF:
@@ -65,11 +73,13 @@ def _model_satisfies(cnf: CNF, model) -> bool:
 
 
 class TestTruthTableDifferential:
+    solver_class = CDCLSolver
+
     @pytest.mark.parametrize("seed", range(72))
     def test_verdict_and_model_match_enumeration(self, seed):
         cnf = _random_cnf(seed)
         expected = _brute_force_satisfiable(cnf)
-        result = CDCLSolver(cnf).solve()
+        result = self.solver_class(cnf).solve()
         assert result.status is not SolverStatus.UNKNOWN
         assert result.is_sat == expected, (
             f"seed {seed}: solver said {result.status}, enumeration said "
@@ -90,7 +100,7 @@ class TestTruthTableDifferential:
         half = len(clauses) // 2
         prefix = CNF(cnf.num_vars)
         prefix.add_clauses(clauses[:half])
-        solver = CDCLSolver(prefix)
+        solver = self.solver_class(prefix)
         solver.solve()
         solver.add_clauses(clauses[half:])
         result = solver.solve()
@@ -99,7 +109,13 @@ class TestTruthTableDifferential:
             assert _model_satisfies(cnf, result.model)
 
 
+class TestTruthTableDifferentialReference(TestTruthTableDifferential):
+    solver_class = ReferenceCDCLSolver
+
+
 class TestExportSurvivesCompaction:
+    solver_class = CDCLSolver
+
     def test_exported_clauses_remain_valid_after_reduction(self):
         # A hard-ish random 3-CNF makes the solver learn enough clauses to
         # cross an artificially tiny reduction threshold several times, so
@@ -115,7 +131,7 @@ class TestExportSurvivesCompaction:
             cnf.add_clause(
                 [v if rng.random() < 0.5 else -v for v in variables]
             )
-        solver = CDCLSolver(cnf)
+        solver = self.solver_class(cnf)
         solver.enable_clause_export(max_lbd=12, max_length=40)
         solver._reduce_threshold = 25  # force frequent compactions
         result = solver.solve(max_conflicts=4000)
@@ -137,7 +153,7 @@ class TestExportSurvivesCompaction:
         # Implication check on a sample: formula AND NOT(clause) is UNSAT
         # for every clause implied by the formula.
         for clause in exported[:40]:
-            checker = CDCLSolver(cnf)
+            checker = self.solver_class(cnf)
             refute = checker.solve(
                 assumptions=[-lit for lit in clause]
             )
@@ -148,3 +164,73 @@ class TestExportSurvivesCompaction:
             )
         # Draining clears the buffer.
         assert solver.drain_exported() == []
+
+
+class TestExportSurvivesCompactionReference(TestExportSurvivesCompaction):
+    solver_class = ReferenceCDCLSolver
+
+
+def _random_3cnf(rng: random.Random, num_vars: int, ratio: float) -> CNF:
+    cnf = CNF(num_vars)
+    for _ in range(int(ratio * num_vars)):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+    return cnf
+
+
+class TestBackendLockstep:
+    """The native core and the reference make the identical search."""
+
+    @pytest.fixture(autouse=True)
+    def _require_native(self):
+        if native.load_library() is None:
+            pytest.skip("native core unavailable: CDCLSolver is the reference")
+
+    @staticmethod
+    def _assert_same_state(fast, slow):
+        assert fast.stats == slow.stats
+        assert fast.num_vars == slow.num_vars
+        assert fast.num_learned_clauses == slow.num_learned_clauses
+        assert fast.drain_exported() == slow.drain_exported()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_incremental_calls_match(self, seed):
+        rng = random.Random(seed)
+        num_vars = 100 + 10 * seed
+        cnf = _random_3cnf(rng, num_vars, 4.1)
+        options = dict(
+            restart_base=(100, 16, 32)[seed % 3],
+            var_decay=(0.95, 0.85)[seed % 2],
+            default_phase=seed % 2 == 1,
+        )
+        fast = CDCLSolver(cnf, **options)
+        slow = ReferenceCDCLSolver(cnf, **options)
+        assert type(fast) is CDCLSolver
+        for solver in (fast, slow):
+            solver._reduce_threshold = 25  # force frequent compactions
+            solver.enable_clause_export(max_lbd=6, max_length=12)
+        for call in range(8):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 3), rng.randint(0, 5))
+            ]
+            budget = rng.choice((None, 60, 600))
+            got = fast.solve(assumptions, max_conflicts=budget)
+            want = slow.solve(assumptions, max_conflicts=budget)
+            assert got.status is want.status, f"call {call}"
+            assert got.stats == want.stats, f"call {call}"
+            assert got.model == want.model, f"call {call}"
+            self._assert_same_state(fast, slow)
+            extra = _random_3cnf(rng, num_vars + 2, 0.02).clauses
+            if call == 4:
+                extra.append([rng.randint(1, num_vars)])  # a level-0 unit
+            extra.append([1, -1])  # a tautology
+            if call % 2:
+                for clause in extra:
+                    fast.add_clause(clause)
+                    slow.add_clause(clause)
+            else:
+                fast.add_clauses(extra)
+                slow.add_clauses(extra)
+            self._assert_same_state(fast, slow)
+        assert fast.stats.conflicts > 300
