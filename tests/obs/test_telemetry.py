@@ -47,6 +47,24 @@ class TestSinkRing:
         fast.record("restart")
         assert fast.due()
 
+    def test_first_sample_and_flush_due_on_freshly_booted_host(
+        self, monkeypatch
+    ):
+        # time.monotonic() counts from boot: a minute after boot it is
+        # far below an hour-long throttle interval.  "Never sampled" must
+        # still mean due, whatever the clock reads.
+        monkeypatch.setattr(obs_telemetry.time, "monotonic", lambda: 60.0)
+        flushed = []
+        sink = TelemetrySink(
+            min_interval_seconds=3600.0,
+            flush_interval_seconds=3600.0,
+            on_flush=flushed.append,
+        )
+        assert sink.due()
+        sink.record("restart")
+        assert flushed and len(flushed[0]) == 1
+        assert not sink.due()
+
     def test_context_merges_and_none_drops(self):
         sink = make_sink()
         sink.set_context(bound=3, worker=1)

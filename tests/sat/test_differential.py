@@ -24,6 +24,9 @@ import random
 import pytest
 
 from repro.sat.cnf import CNF
+from repro.deadline import Deadline
+from repro.obs import telemetry as obs_telemetry
+from repro.obs import trace as obs_trace
 from repro.sat import native
 from repro.sat.solver import CDCLSolver, ReferenceCDCLSolver, SolverStatus
 
@@ -187,6 +190,31 @@ class TestBackendLockstep:
             pytest.skip("native core unavailable: CDCLSolver is the reference")
 
     @staticmethod
+    def _observed_solve(solver, *args, **kwargs):
+        """Solve with a trace collector and a telemetry sink installed;
+        return the result plus the cold-path events and heartbeats
+        (wall-clock fields dropped)."""
+        collector = obs_trace.install(obs_trace.ObsCollector())
+        sink = obs_telemetry.install(
+            obs_telemetry.TelemetrySink(min_interval_seconds=0.0)
+        )
+        try:
+            result = solver.solve(*args, **kwargs)
+        finally:
+            obs_trace.clear()
+            obs_telemetry.clear()
+        events = [
+            (e["name"], {k: v for k, v in e["attrs"].items() if k != "remaining"})
+            for e in collector.events
+        ]
+        clock = {"seq", "pid", "t", "pps"}
+        heartbeats = [
+            {k: v for k, v in hb.items() if k not in clock}
+            for hb in sink.snapshot()
+        ]
+        return result, events, heartbeats
+
+    @staticmethod
     def _assert_same_state(fast, slow):
         assert fast.stats == slow.stats
         assert fast.num_vars == slow.num_vars
@@ -215,11 +243,21 @@ class TestBackendLockstep:
                 for v in rng.sample(range(1, num_vars + 3), rng.randint(0, 5))
             ]
             budget = rng.choice((None, 60, 600))
-            got = fast.solve(assumptions, max_conflicts=budget)
-            want = slow.solve(assumptions, max_conflicts=budget)
+            # A far deadline never expires but makes the search stop at
+            # every poll stride and resume, mid-conflict or after a
+            # decision.
+            deadline = Deadline.after(3600.0) if call % 3 == 1 else None
+            got, got_events, got_beats = self._observed_solve(
+                fast, assumptions, max_conflicts=budget, deadline=deadline
+            )
+            want, want_events, want_beats = self._observed_solve(
+                slow, assumptions, max_conflicts=budget, deadline=deadline
+            )
             assert got.status is want.status, f"call {call}"
             assert got.stats == want.stats, f"call {call}"
             assert got.model == want.model, f"call {call}"
+            assert got_events == want_events, f"call {call}"
+            assert got_beats == want_beats, f"call {call}"
             self._assert_same_state(fast, slow)
             extra = _random_3cnf(rng, num_vars + 2, 0.02).clauses
             if call == 4:
