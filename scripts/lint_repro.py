@@ -14,8 +14,9 @@ Four passes, all static (no solving):
    mypy is importable.  The container image does not ship mypy, so this
    pass silently skips locally and runs in CI (the ``lint`` job installs
    it); the skip is reported in the summary.
-5. **Native core warnings**: compiles ``src/repro/sat/cdcl.c`` with the
-   build flags of :mod:`repro.sat.native` plus ``-Wall -Wextra -Werror``
+5. **Native core warnings**: compiles every native source
+   (``native.SOURCES``: ``cdcl.c`` and ``preprocess.c``) with the build
+   flags of :mod:`repro.sat.native` plus ``-Wall -Wextra -Werror``
    (skipped, and reported, when ``gcc`` is not on ``PATH``).
 
 Exit status is non-zero iff any pass produced an error-severity finding
@@ -133,7 +134,8 @@ def run_native_warnings() -> tuple:
     with tempfile.TemporaryDirectory() as scratch:
         built = subprocess.run(
             [cc, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", os.path.join(scratch, "cdcl.so"), str(native.SOURCE)],
+             "-o", os.path.join(scratch, "core.so"),
+             *map(str, native.SOURCES)],
             capture_output=True,
             text=True,
         )
@@ -145,7 +147,8 @@ def run_native_warnings() -> tuple:
                     "native.warning", where.strip().rstrip(":"), message.strip()
                 )
         if not report.errors:
-            report.add("native.build", str(native.SOURCE), built.stderr.strip())
+            sources = " ".join(str(source) for source in native.SOURCES)
+            report.add("native.build", sources, built.stderr.strip())
     return report, True
 
 

@@ -17,7 +17,9 @@ the same pipeline from scratch).  This package provides:
   blocked-clause elimination) with a frozen-variable contract that makes it
   sound for the incremental BMC engine's per-bound clause slabs, plus the
   lightweight whole-CNF clean-up :func:`repro.sat.preprocess.simplify_cnf`
-  (which absorbed the retired ``repro.sat.simplify`` module).
+  (which absorbed the retired ``repro.sat.simplify`` module).  The
+  reduction runs in the same native library as the search; the Python pass
+  (``reference_preprocess``) is its bit-identical reference and fallback.
 
 The public entry point used by the rest of the library is
 :func:`repro.sat.solve`.

@@ -1,13 +1,16 @@
-"""Build and load the native CDCL search core (``cdcl.c``).
+"""Build and load the native SAT core: the CDCL search (``cdcl.c``) and
+the slab preprocessor (``preprocess.c``).
 
-The C source next to this module is compiled with the system ``gcc`` the
-first time a :class:`~repro.sat.solver.CDCLSolver` is constructed (never
-at import), loaded with :mod:`ctypes`, and cached as a shared object in
-the user cache directory (``$XDG_CACHE_HOME/repro-sat`` or
-``~/.cache/repro-sat``).  The cache key hashes the C source, the compiler
-flags and the compiler version, so a machine compiles each source
-revision once; concurrent first builds are safe because each writes a
-private temporary file and renames it into place.
+Both C sources next to this module are compiled with the system ``gcc``
+into one shared object the first time a
+:class:`~repro.sat.solver.CDCLSolver` is constructed or
+:func:`~repro.sat.preprocess.preprocess` is called (never at import),
+loaded with :mod:`ctypes`, and cached in the user cache directory
+(``$XDG_CACHE_HOME/repro-sat`` or ``~/.cache/repro-sat``).  The cache key
+hashes every source, the compiler flags and the compiler version, so a
+machine compiles each source revision once; concurrent first builds are
+safe because each writes a private temporary file and renames it into
+place.
 
 The flags never include ``-ffast-math`` and disable floating-point
 contraction: VSIDS and clause activities must round exactly like
@@ -16,8 +19,10 @@ Python reference.
 
 Any failure (no compiler, a failed build, an unloadable object) is logged
 once and leaves :func:`load_library` returning ``None``; the solver then
-falls back to :class:`~repro.sat.solver.ReferenceCDCLSolver`.  The result
-is memoised per process -- forked workers inherit the loaded library.
+falls back to :class:`~repro.sat.solver.ReferenceCDCLSolver` and
+preprocessing to the Python pass of :mod:`repro.sat.preprocess`.  The
+result is memoised per process -- forked workers inherit the loaded
+library.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # ctypes/hashlib load on first use, not at import
     import ctypes
 
-SOURCE = Path(__file__).with_name("cdcl.c")
+SOURCES = (
+    Path(__file__).with_name("cdcl.c"),
+    Path(__file__).with_name("preprocess.c"),
+)
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: Indices into the ``Info`` counter block (``cdcl.c``), one int64 each.
@@ -65,6 +73,24 @@ EV_RESTART = 5
 EV_REDUCED = 6
 EV_POLL = 7
 
+#: Indices into the ``Result`` block ``pp_run`` returns (``preprocess.c``),
+#: one int64 each: the unsat flag, the statistics in ``PreprocessStats``
+#: field order, five buffer lengths, then the five buffer addresses.
+PP_UNSAT = 0
+PP_STATS = 1
+PP_NUM_STATS = 11
+PP_NUM_LITS = 12
+PP_NUM_CLAUSES = 13
+PP_NUM_ELIM = 14
+PP_NUM_BLOCKED = 15
+PP_NUM_NAMES = 16
+PP_LITS = 17
+PP_ENDS = 18
+PP_ELIM = 19
+PP_BLOCKED = 20
+PP_NAMES = 21
+PP_RESULT_FIELDS = 22
+
 _LOG = logging.getLogger(__name__)
 
 _library: Optional[ctypes.CDLL] = None
@@ -87,7 +113,7 @@ def cache_dir() -> Path:
 
 
 def _build() -> Path:
-    """Compile the core unless a cached build of this source exists."""
+    """Compile the core unless a cached build of these sources exists."""
     cc = compiler()
     if cc is None:
         raise BuildError("gcc not found on PATH")
@@ -99,18 +125,19 @@ def _build() -> Path:
         text=True,
         check=True,
     ).stdout.strip()
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source)
+    digest = hashlib.sha256()
+    for source in SOURCES:
+        digest.update(source.read_bytes())
+        digest.update(b"\0")
     digest.update("\0".join(FLAGS + (version,)).encode())
-    target = cache_dir() / f"cdcl-{digest.hexdigest()[:20]}.so"
+    target = cache_dir() / f"core-{digest.hexdigest()[:20]}.so"
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         built = subprocess.run(
-            [cc, *FLAGS, "-x", "c", "-", "-o", str(partial)],
-            input=source,
+            [cc, *FLAGS, *map(str, SOURCES), "-o", str(partial)],
             capture_output=True,
         )
         if built.returncode != 0:
@@ -144,6 +171,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "qs_model": (None, [ptr, ptr]),
         "qs_solve_start": (i32, [ptr, ptr, i64, i64, i32]),
         "qs_search": (i32, [ptr]),
+        "pp_run": (ptr, [ptr, i64, ptr, ptr, i64, ptr]),
+        "pp_free": (None, [ptr]),
     }
     for name, (restype, argtypes) in signatures.items():
         function = getattr(lib, name)
@@ -169,7 +198,7 @@ def load_library() -> Optional[ctypes.CDLL]:
             BuildError,
         ) as exc:
             _LOG.warning(
-                "native CDCL core unavailable, using the Python reference: %s",
+                "native SAT core unavailable, using the Python reference: %s",
                 exc,
             )
     return _library

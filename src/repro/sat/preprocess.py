@@ -36,14 +36,40 @@ the reduced slab no longer assigns eliminated variables meaningfully.  The
 clauses removed per eliminated variable, in elimination order);
 :func:`extend_model` replays it backwards to extend any model of the reduced
 formula to the original variable space.
+
+**Two backends, one result.**  :func:`preprocess` runs the pass in the
+native core: ``preprocess.c``, compiled into the same shared object as the
+CDCL search by :mod:`repro.sat.native` on first use, and driven by a single
+C call (flat literals, clause lengths, the sorted frozen set and the
+limits in; one clause table, the record blocks and the statistics out).
+The Python pass (:class:`_Preprocessor`, reached through
+:func:`reference_preprocess`) is its lockstep reference and the fallback
+when no compiler is available.  Both produce the same output clauses
+(clause and literal order), elimination stack, blocked records, unsat flag
+and statistics other than ``time_seconds``.
+
+That equality rests on one **occurrence-order contract**: every iteration
+order of the pass is defined by the data, never by a hash table's layout.
+Occurrence lists are insertion-ordered sets (dicts used as sets here,
+append plus lazy deletion in C); since a clause id only enters a list when
+its clause is created, each list iterates in ascending clause-id order.
+Subsumption candidates, strengthenings, probe propagation and BCE
+re-queues all follow it, and every other ordering (elimination candidates,
+resolvent literals, probe ranks, output units) is an explicit sort over
+variables or signed literals.  A change to the pass must be made in both
+backends, or ``tests/sat/test_preprocess.py``'s lockstep tests fail.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Dict,
     Iterable,
@@ -54,7 +80,11 @@ from typing import (
     Tuple,
 )
 
+from repro.sat import native
 from repro.sat.cnf import CNF, Literal, var_of
+
+if TYPE_CHECKING:  # ctypes loads on first native call, not at import
+    import ctypes
 
 #: Reconstruction stack entry: the variable and the clauses its elimination
 #: removed (recorded *before* removal, in the original variable space).
@@ -159,7 +189,11 @@ class _Preprocessor:
         self.fixed: Dict[int, bool] = {}
         self.clauses: List[Optional[List[Literal]]] = []
         self.sigs: List[int] = []
-        self.occs: Dict[Literal, Set[int]] = defaultdict(set)
+        # Occurrence lists are insertion-ordered sets (dicts with ``None``
+        # values): clause ids only ever enter a list when the clause is
+        # created, so every list iterates in ascending clause-id order.
+        # The native pass (``preprocess.c``) relies on this order.
+        self.occs: Dict[Literal, Dict[int, None]] = defaultdict(dict)
         self.unit_queue: List[Literal] = []
         self.touched: List[int] = []
         self.eliminated: List[EliminationRecord] = []
@@ -194,7 +228,7 @@ class _Preprocessor:
         self.clauses.append(out)
         self.sigs.append(_signature(out))
         for lit in out:
-            self.occs[lit].add(cid)
+            self.occs[lit][cid] = None
         if len(out) == 1:
             self.unit_queue.append(out[0])
         else:
@@ -209,7 +243,7 @@ class _Preprocessor:
         for lit in clause:
             entry = occs.get(lit)
             if entry is not None:
-                entry.discard(cid)
+                entry.pop(cid, None)
 
     def _strengthen(self, cid: int, lit: Literal) -> None:
         """Remove *lit* from clause *cid* (it is known not to help)."""
@@ -219,7 +253,7 @@ class _Preprocessor:
         clause.remove(lit)
         entry = self.occs.get(lit)
         if entry is not None:
-            entry.discard(cid)
+            entry.pop(cid, None)
         if not clause:
             self.unsat = True
             return
@@ -340,8 +374,8 @@ class _Preprocessor:
                 break
             if variable in self.fixed:
                 continue
-            pos = sorted(occs.get(variable, ()))
-            neg = sorted(occs.get(-variable, ()))
+            pos = list(occs.get(variable, ()))
+            neg = list(occs.get(-variable, ()))
             if not pos and not neg:
                 continue
             if (
@@ -588,7 +622,146 @@ def preprocess(
     model: use :meth:`PreprocessResult.extend_model` (which repairs blocked
     clauses before re-deriving eliminated variables) rather than the
     module-level :func:`extend_model`.
+
+    The pass runs in the native core (``preprocess.c``) as one C call;
+    without it, :func:`reference_preprocess` computes the identical result.
     """
+    lib = native.load_library()
+    if lib is None:
+        return reference_preprocess(
+            clauses,
+            frozen=frozen,
+            frozen_cutoff=frozen_cutoff,
+            max_rounds=max_rounds,
+            enable_subsumption=enable_subsumption,
+            enable_elimination=enable_elimination,
+            enable_probing=enable_probing,
+            enable_blocked=enable_blocked,
+            bve_clause_limit=bve_clause_limit,
+            bve_occurrence_limit=bve_occurrence_limit,
+            bce_occurrence_limit=bce_occurrence_limit,
+            probe_limit=probe_limit,
+            probe_visit_budget=probe_visit_budget,
+        )
+    start = time.perf_counter()
+    # The parameter block, in the order of the P_* enum of preprocess.c.
+    params = array(
+        "q",
+        (
+            max_rounds,
+            enable_subsumption,
+            enable_elimination,
+            enable_probing,
+            enable_blocked,
+            bve_clause_limit,
+            bve_occurrence_limit,
+            bce_occurrence_limit,
+            probe_limit,
+            probe_visit_budget,
+            frozen_cutoff,
+        ),
+    )
+    result = _run_native(lib, clauses, frozen, params)
+    result.stats.time_seconds = time.perf_counter() - start
+    return result
+
+
+def _run_native(
+    lib: ctypes.CDLL,
+    clauses: Iterable[Sequence[Literal]],
+    frozen: AbstractSet[int],
+    params: array[int],
+) -> PreprocessResult:
+    """One ``pp_run`` call: the slab goes in as flat buffers, the result
+    comes back as one clause table plus the record and stats blocks."""
+    import ctypes
+
+    batch = clauses if isinstance(clauses, list) else list(clauses)
+    lengths = array("i", map(len, batch))
+    literals = array("i", chain.from_iterable(batch))
+    frozen_vars = array("i", sorted(frozen))
+    address = lib.pp_run(
+        lengths.buffer_info()[0],
+        len(lengths),
+        literals.buffer_info()[0],
+        frozen_vars.buffer_info()[0],
+        len(frozen_vars),
+        params.buffer_info()[0],
+    )
+    if not address:
+        raise ValueError("clause literals must be non-zero int32 values")
+    try:
+        fields = ctypes.c_int64 * native.PP_RESULT_FIELDS
+        block = fields.from_address(address)
+
+        def ints(buffer: int, count: int) -> array[int]:
+            flat = array("i")
+            if count:
+                flat.frombytes(ctypes.string_at(block[buffer], 4 * count))
+            return flat
+
+        # One int object per distinct literal, shared by every occurrence.
+        names = ints(native.PP_NAMES, block[native.PP_NUM_NAMES]).tolist()
+        indices = ints(native.PP_LITS, block[native.PP_NUM_LITS])
+        lits = list(map(names.__getitem__, indices))
+        ends = ints(native.PP_ENDS, block[native.PP_NUM_CLAUSES])
+        elim = ints(native.PP_ELIM, 2 * block[native.PP_NUM_ELIM])
+        blocking = ints(native.PP_BLOCKED, block[native.PP_NUM_BLOCKED])
+        stats = PreprocessStats(
+            *block[native.PP_STATS : native.PP_STATS + native.PP_NUM_STATS]
+        )
+        unsat = bool(block[native.PP_UNSAT])
+    finally:
+        lib.pp_free(address)
+    # The table holds the eliminated clauses, the blocked clauses, then the
+    # output clauses; elim pairs each variable with the table index its
+    # clauses end at.  Building ~10^5 acyclic lists would otherwise trigger
+    # several full passes of the cyclic collector over the whole heap.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        table = [lits[a:b] for a, b in zip(chain((0,), ends), ends)]
+        elim_vars, elim_ends = elim[0::2], elim[1::2]
+        eliminated: List[EliminationRecord] = [
+            (variable, table[a:b])
+            for variable, a, b in zip(
+                elim_vars, chain((0,), elim_ends), elim_ends
+            )
+        ]
+        first = elim_ends[-1] if elim_ends else 0
+        blocked: List[BlockedRecord] = list(
+            zip(blocking, table[first : first + len(blocking)])
+        )
+    finally:
+        if collecting:
+            gc.enable()
+    return PreprocessResult(
+        clauses=table[len(table) - stats.clauses_out :],
+        stats=stats,
+        eliminated=eliminated,
+        blocked=blocked,
+        unsat=unsat,
+    )
+
+
+def reference_preprocess(
+    clauses: Iterable[Sequence[Literal]],
+    *,
+    frozen: AbstractSet[int] = frozenset(),
+    frozen_cutoff: int = 0,
+    max_rounds: int = 3,
+    enable_subsumption: bool = True,
+    enable_elimination: bool = True,
+    enable_probing: bool = True,
+    enable_blocked: bool = False,
+    bve_clause_limit: int = 8,
+    bve_occurrence_limit: int = 12,
+    bce_occurrence_limit: int = 24,
+    probe_limit: int = 2000,
+    probe_visit_budget: int = 2_000_000,
+) -> PreprocessResult:
+    """:func:`preprocess` on the pure-Python pass: the lockstep reference
+    of the native core, and its fallback when the core is unavailable."""
     start = time.perf_counter()
     state = _Preprocessor(
         clauses,
@@ -655,12 +828,13 @@ def extend_model(
     re-introduced and the solver assigned it directly).
     """
     extended = list(model)
-    needed = 0
-    for variable, removed in eliminated:
-        needed = max(needed, variable)
-        for clause in removed:
-            for lit in clause:
-                needed = max(needed, lit if lit > 0 else -lit)
+    literals = chain.from_iterable(
+        chain.from_iterable(removed for _, removed in eliminated)
+    )
+    needed = max(
+        chain((variable for variable, _ in eliminated), map(abs, literals)),
+        default=0,
+    )
     if len(extended) < needed + 1:
         extended.extend([False] * (needed + 1 - len(extended)))
     for variable, removed in reversed(eliminated):

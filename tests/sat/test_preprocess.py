@@ -1,11 +1,23 @@
-"""Tests for the SatELite-style CNF preprocessor."""
+"""Tests for the SatELite-style CNF preprocessor.
 
+Every suite runs on both backends: ``preprocess`` (the native pass when
+the core builds) and ``reference_preprocess`` (the Python pass), through a
+``...Reference`` subclass that swaps ``run``.  ``TestPreprocessLockstep``
+checks that the two produce identical results.
+"""
+
+import dataclasses
 import random
 
 import pytest
 
+from repro.sat import native
 from repro.sat.cnf import CNF
-from repro.sat.preprocess import extend_model, preprocess
+from repro.sat.preprocess import (
+    extend_model,
+    preprocess,
+    reference_preprocess,
+)
 from repro.sat.solver import CDCLSolver
 
 
@@ -21,8 +33,10 @@ def _max_var(clauses):
 
 
 class TestSubsumption:
+    run = staticmethod(preprocess)
+
     def test_subsumed_clause_removed(self):
-        result = preprocess(
+        result = self.run(
             [[1, 2], [1, 2, 3]], frozen={1, 2, 3}, enable_probing=False
         )
         assert result.stats.clauses_subsumed == 1
@@ -32,39 +46,45 @@ class TestSubsumption:
     def test_self_subsuming_resolution_strengthens(self):
         # (1 2) and (-1 2 3): resolving on 1 gives (2 3) which subsumes
         # the second clause, so literal -1 is removed from it.
-        result = preprocess(
+        result = self.run(
             [[1, 2], [-1, 2, 3]], frozen={1, 2, 3}, enable_probing=False
         )
         assert result.stats.literals_strengthened == 1
         assert [2, 3] in result.clauses
 
     def test_duplicate_and_tautological_clauses_cleaned(self):
-        result = preprocess(
+        result = self.run(
             [[1, -1, 2], [1, 2], [2, 1]], frozen={1, 2}, enable_probing=False
         )
         non_unit = [c for c in result.clauses if len(c) > 1]
         assert len(non_unit) == 1
 
 
+class TestSubsumptionReference(TestSubsumption):
+    run = staticmethod(reference_preprocess)
+
+
 class TestVariableElimination:
+    run = staticmethod(preprocess)
+
     def test_tseitin_auxiliary_disappears(self):
         # Variable 3 is a pure Tseitin definition 3 <-> (1 & 2); nothing
         # else mentions it, so BVE removes it without growth.
         clauses = [[-3, 1], [-3, 2], [3, -1, -2]]
-        result = preprocess(clauses, frozen={1, 2}, enable_probing=False)
+        result = self.run(clauses, frozen={1, 2}, enable_probing=False)
         assert result.stats.variables_eliminated == 1
         assert all(3 not in map(abs, clause) for clause in result.clauses)
 
     def test_frozen_variables_never_eliminated(self):
         clauses = [[-3, 1], [-3, 2], [3, -1, -2], [-1, 2], [1, -2]]
         for frozen in ({1, 2, 3}, {3}):
-            result = preprocess(clauses, frozen=frozen, enable_probing=False)
+            result = self.run(clauses, frozen=frozen, enable_probing=False)
             eliminated = {variable for variable, _ in result.eliminated}
             assert eliminated.isdisjoint(frozen)
 
     def test_elimination_preserves_satisfiability(self):
         clauses = [[-3, 1], [-3, 2], [3, -1, -2], [3]]
-        result = preprocess(clauses, frozen=set(), enable_probing=False)
+        result = self.run(clauses, frozen=set(), enable_probing=False)
         verdict = _solve(result.clauses, _max_var(clauses))
         assert verdict.is_sat
         model = extend_model(verdict.model, result.eliminated)
@@ -72,12 +92,18 @@ class TestVariableElimination:
             assert any(model[abs(l)] == (l > 0) for l in clause)
 
 
+class TestVariableEliminationReference(TestVariableElimination):
+    run = staticmethod(reference_preprocess)
+
+
 class TestProbing:
+    run = staticmethod(preprocess)
+
     def test_failed_literal_becomes_unit(self):
         # Assuming 1 propagates 2 (via -1 2 ... binary chains) into a
         # conflict, so -1 must hold at top level.
         clauses = [[-1, 2], [-1, 3], [-2, -3, 4], [-4, -1], [1, 5], [1, -5, 6]]
-        result = preprocess(
+        result = self.run(
             clauses,
             frozen={1, 2, 3, 4, 5, 6},
             enable_elimination=False,
@@ -87,17 +113,27 @@ class TestProbing:
         assert [-1] in result.clauses
 
 
+class TestProbingReference(TestProbing):
+    run = staticmethod(reference_preprocess)
+
+
 class TestUnsatDetection:
+    run = staticmethod(preprocess)
+
     def test_contradictory_units(self):
-        result = preprocess([[1], [-1]], frozen={1})
+        result = self.run([[1], [-1]], frozen={1})
         assert result.unsat
         assert [] in result.clauses
 
     def test_unsat_core_via_resolution(self):
         clauses = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
-        result = preprocess(clauses, frozen=set())
+        result = self.run(clauses, frozen=set())
         verdict = _solve(result.clauses, 2)
         assert verdict.is_unsat
+
+
+class TestUnsatDetectionReference(TestUnsatDetection):
+    run = staticmethod(reference_preprocess)
 
 
 class TestRandomEquivalence:
@@ -108,6 +144,8 @@ class TestRandomEquivalence:
     model extended over the eliminated variables must satisfy every
     original clause.
     """
+
+    run = staticmethod(preprocess)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_preprocess_preserves_satisfiability(self, seed):
@@ -124,7 +162,7 @@ class TestRandomEquivalence:
         frozen = set(rng.sample(range(1, num_vars + 1), rng.randint(0, 3)))
 
         original = _solve(clauses, num_vars)
-        result = preprocess(clauses, frozen=frozen)
+        result = self.run(clauses, frozen=frozen)
         eliminated = {variable for variable, _ in result.eliminated}
         assert eliminated.isdisjoint(frozen)
         reduced = _solve(result.clauses, num_vars)
@@ -138,34 +176,52 @@ class TestRandomEquivalence:
                 )
 
 
+class TestRandomEquivalenceReference(TestRandomEquivalence):
+    run = staticmethod(reference_preprocess)
+
+
 class TestStatsPlumbing:
+    run = staticmethod(preprocess)
+
     def test_stats_merge_accumulates(self):
-        first = preprocess([[1, 2], [1, 2, 3]], frozen={1, 2, 3}).stats
-        second = preprocess([[-4, 5]], frozen={4, 5}).stats
+        first = self.run([[1, 2], [1, 2, 3]], frozen={1, 2, 3}).stats
+        second = self.run([[-4, 5]], frozen={4, 5}).stats
         total_in = first.clauses_in
         first.merge(second)
         assert first.clauses_in == total_in + second.clauses_in
         assert first.rounds >= second.rounds
 
 
+class TestStatsPlumbingReference(TestStatsPlumbing):
+    run = staticmethod(reference_preprocess)
+
+
 class TestFrozenCutoff:
+    run = staticmethod(preprocess)
+
     def test_variables_at_or_below_cutoff_survive(self):
         # Var 3 is an eliminable Tseitin auxiliary, but the cutoff freezes
         # it (the engine uses the cutoff for solver-known variables).
         clauses = [[-3, 1], [-3, 2], [3, -1, -2]]
-        kept = preprocess(clauses, frozen_cutoff=3, enable_probing=False)
+        kept = self.run(clauses, frozen_cutoff=3, enable_probing=False)
         assert kept.stats.variables_eliminated == 0
-        gone = preprocess(clauses, frozen_cutoff=2, enable_probing=False)
+        gone = self.run(clauses, frozen_cutoff=2, enable_probing=False)
         assert gone.stats.variables_eliminated == 1
         assert {variable for variable, _ in gone.eliminated} == {3}
+
+
+class TestFrozenCutoffReference(TestFrozenCutoff):
+    run = staticmethod(reference_preprocess)
 
 
 class TestBlockedClauseElimination:
     """The optional BCE pass: off by default, sat-equivalent when on."""
 
+    run = staticmethod(preprocess)
+
     def test_off_by_default(self):
         clauses = [[1, 2], [-1, -2, 3], [3, 4]]
-        result = preprocess(
+        result = self.run(
             clauses,
             frozen={1, 2, 3, 4},
             enable_subsumption=False,
@@ -179,7 +235,7 @@ class TestBlockedClauseElimination:
         # (1 2) is blocked on 1: the only clause containing -1 also
         # contains -2, so the resolvent is tautological.
         clauses = [[1, 2], [-1, -2, 3], [3, 4]]
-        result = preprocess(
+        result = self.run(
             clauses,
             enable_subsumption=False,
             enable_elimination=False,
@@ -191,7 +247,7 @@ class TestBlockedClauseElimination:
 
     def test_frozen_literal_never_blocks(self):
         clauses = [[1, 2], [-1, -2, 3], [3, 4]]
-        result = preprocess(
+        result = self.run(
             clauses,
             frozen={1, 2, 3, 4},
             enable_subsumption=False,
@@ -205,7 +261,7 @@ class TestBlockedClauseElimination:
         # Variable 4 occurs only positively: no resolvents at all, so the
         # clause containing it is blocked.
         clauses = [[4, 1], [1, -2], [2, -1]]
-        result = preprocess(
+        result = self.run(
             clauses,
             frozen={1, 2},
             enable_subsumption=False,
@@ -232,7 +288,7 @@ class TestBlockedClauseElimination:
             )
         reference = _solve([list(c) for c in clauses], num_vars)
         # BCE alone (the other passes would hide it on formulas this small).
-        result = preprocess(
+        result = self.run(
             [list(c) for c in clauses],
             enable_subsumption=False,
             enable_elimination=False,
@@ -252,6 +308,10 @@ class TestBlockedClauseElimination:
                 )
 
 
+class TestBlockedClauseEliminationReference(TestBlockedClauseElimination):
+    run = staticmethod(reference_preprocess)
+
+
 class TestLegacySimplifyRetired:
     def test_simplify_module_is_gone(self):
         # The deprecation shim of the old ``repro.sat.simplify`` module was
@@ -268,3 +328,177 @@ class TestLegacySimplifyRetired:
 
         assert repro.sat.simplify_cnf is simplify_cnf
         assert repro.sat.SimplificationResult is SimplificationResult
+
+
+def _outcome(result):
+    """Everything a preprocess result carries except its wall-clock."""
+    stats = dataclasses.replace(result.stats, time_seconds=0.0)
+    return (
+        result.clauses,
+        result.eliminated,
+        result.blocked,
+        result.unsat,
+        stats,
+    )
+
+
+def _random_slab(rng, num_vars, num_clauses, max_width=4):
+    return [
+        [
+            rng.choice((1, -1)) * rng.randint(1, num_vars)
+            for _ in range(rng.randint(1, max_width))
+        ]
+        for _ in range(num_clauses)
+    ]
+
+
+class TestPreprocessLockstep:
+    """The native pass and the reference make the identical reduction:
+    same output clauses (clause and literal order), elimination stack,
+    blocked records, unsat flag and every statistic but the wall-clock."""
+
+    @pytest.fixture(autouse=True)
+    def _require_native(self):
+        if native.load_library() is None:
+            pytest.skip("native core unavailable: preprocess is the reference")
+
+    @staticmethod
+    def _assert_lockstep(clauses, **options):
+        got = preprocess([list(c) for c in clauses], **options)
+        want = reference_preprocess([list(c) for c in clauses], **options)
+        assert _outcome(got) == _outcome(want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(72))
+    def test_random_slabs(self, seed):
+        rng = random.Random(9000 + seed)
+        num_vars = rng.randint(3, 40)
+        clauses = _random_slab(rng, num_vars, rng.randint(0, 5 * num_vars))
+        clauses.append([1, -1])  # a tautology
+        if seed % 9 == 0:
+            clauses.append([])  # an empty clause
+        frozen = set(
+            rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars // 2))
+        )
+        # Variables outside the slab in the frozen set must be ignored.
+        frozen.update(rng.sample(range(num_vars + 1, 3 * num_vars), 3))
+        self._assert_lockstep(
+            clauses,
+            frozen=frozen,
+            frozen_cutoff=rng.choice((0, 0, rng.randint(0, num_vars))),
+            max_rounds=rng.choice((1, 3, 5)),
+            enable_subsumption=seed % 5 != 1,
+            enable_elimination=seed % 5 != 2,
+            enable_probing=seed % 5 != 3,
+            enable_blocked=seed % 4 == 0,
+            bve_clause_limit=rng.choice((2, 4, 8)),
+            bve_occurrence_limit=rng.choice((1, 3, 12)),
+            bce_occurrence_limit=rng.choice((1, 24)),
+        )
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_blocked_clause_pass(self, seed):
+        rng = random.Random(9500 + seed)
+        num_vars = rng.randint(4, 30)
+        clauses = _random_slab(rng, num_vars, rng.randint(4, 4 * num_vars), 3)
+        frozen = set(rng.sample(range(1, num_vars + 1), rng.randint(0, 3)))
+        self._assert_lockstep(clauses, frozen=frozen, enable_blocked=True)
+        self._assert_lockstep(
+            clauses,
+            frozen=frozen,
+            enable_subsumption=False,
+            enable_elimination=False,
+            enable_probing=False,
+            enable_blocked=True,
+        )
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_probe_cutoffs_fire(self, seed):
+        # Implication chains plus failed-literal gadgets give many probe
+        # candidates; tiny probe limits and visit budgets stop the pass
+        # part-way.
+        rng = random.Random(9800 + seed)
+        num_vars = rng.randint(20, 60)
+        clauses = []
+        for _ in range(3 * num_vars):
+            a, b = sorted(rng.sample(range(1, num_vars + 1), 2))
+            clauses.append([-a, b])
+        for _ in range(num_vars // 10):
+            x, y, z = rng.sample(range(1, num_vars + 1), 3)
+            clauses += [[-x, y], [-x, z], [-y, -z]]
+        frozen = set(range(1, num_vars + 1))  # keep every probe candidate
+        unlimited = self._assert_lockstep(clauses, frozen=frozen)
+        cutoffs = ((1, 2_000_000), (3, 40), (2000, 0), (2000, 25))
+        probes = [
+            self._assert_lockstep(
+                clauses,
+                frozen=frozen,
+                probe_limit=probe_limit,
+                probe_visit_budget=budget,
+            ).stats.probes
+            for probe_limit, budget in cutoffs
+        ]
+        if unlimited.stats.probes > 3:
+            assert max(probes) < unlimited.stats.probes
+
+    @pytest.mark.parametrize("holes", (2, 3, 4))
+    def test_unsat_slabs(self, holes):
+        pigeons = holes + 1
+
+        def var(p, h):
+            return p * holes + h + 1
+
+        clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+        for h in range(holes):
+            for p in range(pigeons):
+                for q in range(p + 1, pigeons):
+                    clauses.append([-var(p, h), -var(q, h)])
+        self._assert_lockstep(clauses)
+        self._assert_lockstep(clauses, frozen={1, 2}, enable_blocked=True)
+        contradiction = [[1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4]]
+        assert self._assert_lockstep(contradiction).unsat
+        assert self._assert_lockstep([[5], [-5], [5, 6]], frozen={6}).unsat
+
+    def test_engine_slab_from_a_small_av3_run(self, monkeypatch):
+        import repro.bmc.engine as engine
+        from repro.isa.arch import TINY_PROFILE
+        from repro.qed import QEDMode, SymbolicQED
+
+        recorded = []
+        real = engine.preprocess
+
+        def record(clauses, **options):
+            recorded.append(([list(c) for c in clauses], options))
+            return real(clauses, **options)
+
+        monkeypatch.setattr(engine, "preprocess", record)
+        SymbolicQED(
+            "A.v3",
+            mode=QEDMode.EDDIV,
+            arch=TINY_PROFILE,
+            focus_opcodes=["LDI", "MOV", "INC", "ADD"],
+        ).check(max_bound=4)
+        assert recorded, "the run preprocessed no slab"
+        for clauses, options in recorded:
+            result = self._assert_lockstep(clauses, **options)
+            assert result.stats.variables_eliminated > 0
+
+    @pytest.mark.parametrize("literal", (0, -(2**31)))
+    def test_non_literals_are_rejected(self, literal):
+        with pytest.raises(ValueError):
+            preprocess([[1, 2], [3, literal]])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_native_model_extends_to_the_original_slab(self, seed):
+        rng = random.Random(9900 + seed)
+        num_vars = rng.randint(4, 12)
+        clauses = _random_slab(rng, num_vars, rng.randint(3, 3 * num_vars), 3)
+        result = self._assert_lockstep(
+            clauses, frozen={1}, enable_blocked=seed % 2 == 1
+        )
+        reduced = _solve(result.clauses, num_vars)
+        assert reduced.is_sat == _solve(clauses, num_vars).is_sat
+        if reduced.is_sat:
+            model = result.extend_model(reduced.model)
+            for clause in clauses:
+                assert any(model[abs(l)] == (l > 0) for l in clause)
