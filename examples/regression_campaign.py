@@ -36,7 +36,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=min(4, os.cpu_count() or 1),
-        help="process-pool size for the per-bug jobs",
+        help="child processes running per-bug jobs at a time",
     )
     args = parser.parse_args()
     config = CampaignConfig(

@@ -12,7 +12,7 @@ against a committed baseline and fails on a >2x wall-clock regression, a
 the baseline (regression-only: the metric is wall-clock-derived), which is
 how CI gates the hot path.  With ``--via-server`` the serving stack is
 benchmarked too -- cold/warm campaign passes plus p50/p99 warm-hit latency
--- and those ``serve/*`` runs are gated at a looser 4x (HTTP + process-pool
+-- and those ``serve/*`` runs are gated at a looser 4x (HTTP + child-process
 noise).  ``--profile-out`` additionally dumps cProfile
 stats of the dense depth run for profile-guided follow-up work.
 
@@ -90,7 +90,7 @@ PPS_REGRESSION_FLOOR = 0.6
 #: Solve time below which the throughput gate is skipped: a query answered
 #: in a few hundred milliseconds gives a pps number dominated by noise.
 PPS_MIN_SOLVE_SECONDS = 0.5
-#: The ``serve/*`` runs go through an HTTP round-trip plus a process pool,
+#: The ``serve/*`` runs go through an HTTP round-trip plus a child process,
 #: both far noisier than the in-process solves, so their wall-clock gate
 #: uses this more generous multiplier instead of :data:`REGRESSION_FACTOR`.
 #: Regression-only, like every other wall-clock gate here.
@@ -572,7 +572,7 @@ def check_regression(
             continue
         old_seconds = float(old["runtime_seconds"])
         new_seconds = float(run["runtime_seconds"])
-        # serve/* runs cross an HTTP + process-pool boundary; their gate
+        # serve/* runs cross an HTTP + child-process boundary; their gate
         # trades tightness for stability (regression-only, like the rest).
         factor = (
             SERVE_REGRESSION_FACTOR

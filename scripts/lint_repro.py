@@ -64,6 +64,8 @@ FORK_GLOBS = (
     # every forked worker (the faults._INJECTOR pattern) and record from
     # inside them, so the whole package is in scope too.
     "src/repro/obs/*.py",
+    # The fork-child runner: its child side is every fork entry's caller.
+    "src/repro/procs.py",
 )
 #: Packages held to ``mypy --strict`` (via mypy.ini per-module sections).
 TYPED_CORE = ("src/repro/sat", "src/repro/bmc", "src/repro/expr")

@@ -4,8 +4,9 @@ The run time of a CDCL solver on a hard instance is notoriously sensitive to
 its heuristics -- branching polarity, restart cadence, activity decay, and
 whether the formula was preprocessed first.  A *portfolio* exploits that
 variance: the same (sub-)problem is handed to several solver configurations
-in parallel processes and the first definitive answer (SAT or UNSAT) wins;
-the losing processes are cancelled immediately so they release their core.
+in parallel :class:`repro.procs.Child` processes and the first definitive
+answer (SAT or UNSAT) wins; the losing processes are killed immediately so
+they release their core.
 
 Two places use this module:
 
@@ -22,12 +23,11 @@ only changes *which one answers first*.
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
+from repro import procs
 from repro.deadline import Deadline
 from repro.obs import trace as obs_trace
 from repro.sat.cnf import CNF, Literal, var_of
@@ -178,22 +178,20 @@ def _solve_one(
     return result, reduction
 
 
-def _race_worker(  # fork-entry
-    index: int,
+def _race_worker(  # fork-entry: a procs.Child target
+    emit,
     config: PortfolioConfig,
     clauses: Sequence[Sequence[Literal]],
     num_vars: int,
     assumptions: Sequence[Literal],
     frozen: AbstractSet[int],
     max_conflicts: Optional[int],
-    results: "multiprocessing.Queue",
     expires_at: Optional[float] = None,
-) -> None:
-    """Process entry point: solve and report (top-level so it pickles)."""
-    # Inherited through the fork like the deadline: spans recorded here
-    # carry the parent's trace id and ship back with the result.
-    collector = obs_trace.active()
-    obs_mark = None if collector is None else collector.mark()
+) -> Dict[str, object]:
+    """One racer: solve, extend the model, ship the obs payload home."""
+    # Spans recorded here carry the parent's trace id (the collector is
+    # inherited through the fork like the deadline).
+    obs_mark = procs.mark()
     racer_span = obs_trace.span("portfolio.racer", config=config.name)
     result, reduction = _solve_one(
         config, clauses, num_vars, assumptions, frozen, max_conflicts,
@@ -203,18 +201,12 @@ def _race_worker(  # fork-entry
     model = result.model
     if model is not None and reduction is not None:
         model = reduction.extend_model(model)
-    results.put(
-        (
-            index,
-            result.status.value,
-            model,
-            result.stats.conflicts,
-            result.stats.decisions,
-            result.stats.propagations,
-            result.stats.learned_clauses,
-            None if obs_mark is None else collector.batch_since(obs_mark),
-        )
-    )
+    return {
+        "status": result.status.value,
+        "model": model,
+        "stats": result.stats,
+        "obs": procs.ship(obs_mark),
+    }
 
 
 def solve_portfolio(
@@ -266,85 +258,48 @@ def solve_portfolio(
             finished={raced[0].name: result.status.value},
         )
 
-    context = multiprocessing.get_context(
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else None
-    )
-    results: "multiprocessing.Queue" = context.Queue()
-    processes = [
-        context.Process(
-            target=_race_worker,
-            args=(
-                index,
-                config,
-                clauses,
-                num_vars,
-                list(assumptions),
-                frozen,
-                max_conflicts,
-                results,
-                expires_at,
-            ),
-            daemon=True,
+    racers = [
+        procs.Child(
+            _race_worker,
+            config,
+            clauses,
+            num_vars,
+            list(assumptions),
+            frozen,
+            max_conflicts,
+            expires_at,
         )
-        for index, config in enumerate(raced)
+        for config in raced
     ]
-    for process in processes:
-        process.start()
-
     outcome = PortfolioOutcome(status=SolverStatus.UNKNOWN)
-    finished = 0
+    racing = dict(enumerate(racers))
     try:
-        while finished < len(processes):
-            try:
-                (
-                    index,
-                    status_value,
-                    model,
-                    conflicts,
-                    decisions,
-                    propagations,
-                    learned,
-                    span_batch,
-                ) = results.get(timeout=poll_seconds)
-            except queue_module.Empty:
-                # A worker that died without reporting (OOM kill) must not
-                # hang the race forever.
-                if all(not p.is_alive() for p in processes) and results.empty():
-                    break
+        while racing and outcome.winner is None:
+            done = [index for index, racer in racing.items() if racer.wait(0)]
+            if not done:
+                time.sleep(poll_seconds)
                 continue
-            finished += 1
-            collector = obs_trace.active()
-            if collector is not None and span_batch is not None:
-                collector.absorb(span_batch)
-            status = SolverStatus(status_value)
-            outcome.finished[raced[index].name] = status_value
-            # Work counters always mean "total work of every finished
-            # personality" -- the winner adds to, not replaces, the budget-
-            # expired losers already accumulated.
-            outcome.conflicts += conflicts
-            outcome.decisions += decisions
-            outcome.propagations += propagations
-            outcome.learned_clauses += learned
-            if status is not SolverStatus.UNKNOWN:
-                outcome.status = status
-                outcome.model = model
-                outcome.winner = raced[index].name
-                break
+            for index in done:
+                report = racing.pop(index).outcome().get("result")
+                if not isinstance(report, dict):
+                    continue  # died without reporting (OOM kill, crash)
+                procs.absorb(report["obs"])
+                status = SolverStatus(report["status"])
+                stats = report["stats"]
+                outcome.finished[raced[index].name] = status.value
+                # Work counters always mean "total work of every finished
+                # personality" -- the winner adds to, not replaces, the
+                # budget-expired losers already accumulated.
+                outcome.conflicts += stats.conflicts
+                outcome.decisions += stats.decisions
+                outcome.propagations += stats.propagations
+                outcome.learned_clauses += stats.learned_clauses
+                if status is not SolverStatus.UNKNOWN:
+                    outcome.status = status
+                    outcome.model = report["model"]
+                    outcome.winner = raced[index].name
+                    break
     finally:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=2.0)
-        # Escalate: a racer that survives SIGTERM past the grace period
-        # (wedged in a C extension, masked signal) gets SIGKILL rather
-        # than leaking as a zombie holding its core.
-        for process in processes:
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=1.0)
-        results.close()
+        procs.kill_all(racers)
     outcome.runtime_seconds = time.perf_counter() - start
     return outcome

@@ -17,7 +17,8 @@ Scheduling model
 ``workers == 1`` runs every cube inline on one long-lived solver, in
 deterministic order, with no processes -- learned clauses flow between cubes
 through the shared database, and two runs of the same query are bit-for-bit
-identical.  ``workers > 1`` forks a process pool:
+identical.  ``workers > 1`` forks a pool of :class:`repro.procs.Child`
+workers:
 
 * every worker builds its solver once from the query's clauses and then
   *steals* cubes from a shared task queue (idle workers drain whatever is
@@ -41,7 +42,6 @@ whole query across diverse configurations via
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_module
 import time
 from collections import deque
@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from repro import faults
+from repro import faults, procs
 from repro.deadline import Deadline
 from repro.dist.cubes import Cube, split_cube
 from repro.obs import metrics as obs_metrics
@@ -577,13 +577,9 @@ class WorkScheduler:
         self, query: SplitQuery, deadline: Optional[Deadline] = None
     ) -> DistResult:
         config = self.config
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        tasks: "multiprocessing.Queue" = context.Queue()
-        results: "multiprocessing.Queue" = context.Queue()
+        context = procs.context()
+        tasks = context.Queue()
+        results = context.Queue()
         stop = context.Event()
         expires_at = None if deadline is None else deadline.expires_at
         # Multiset of cubes currently owned by the pool (queued or being
@@ -626,49 +622,39 @@ class WorkScheduler:
         # One bounded inbox per worker: an exporter broadcasts a clause into
         # every *peer's* inbox (single shared queue semantics would deliver
         # each clause to exactly one consumer -- possibly the exporter).
-        inboxes: Optional[List["multiprocessing.Queue"]] = (
+        inboxes = (
             [context.Queue(config.share_queue_size) for _ in range(workers)]
             if config.share_clauses and workers > 1
             else None
         )
 
-        # Per-worker in-flight announcements travel over dedicated pipes,
-        # NOT the results queue: ``Connection.send`` is synchronous (no
-        # feeder thread), so a worker that is SIGKILLed right after
-        # announcing a cube cannot lose the announcement the way an
-        # ``mp.Queue.put`` buffered in the feeder thread can be lost.
-        announces: List["multiprocessing.connection.Connection"] = []
-        processes: List["multiprocessing.process.BaseProcess"] = []
+        # Per-worker in-flight announcements travel as the worker child's
+        # events, NOT over the results queue: the child's pipe is
+        # synchronous (no feeder thread), so a worker that is SIGKILLed
+        # right after announcing a cube cannot lose the announcement the
+        # way an ``mp.Queue.put`` buffered in the feeder thread can be lost.
+        children: List[procs.Child] = []
         inflight: List[Optional[Tuple[Tuple[Literal, ...], int, Optional[int]]]] = []
 
         def spawn(worker_id: int) -> None:
-            recv_conn, send_conn = context.Pipe(False)
-            process = context.Process(
-                target=_pool_worker,
-                args=(
-                    worker_id,
-                    config.configs[worker_id % len(config.configs)],
-                    query,
-                    config.share_max_lbd if config.share_clauses else None,
-                    tasks,
-                    results,
-                    inboxes,
-                    stop,
-                    send_conn,
-                    expires_at,
-                ),
-                daemon=True,
+            child = procs.Child(
+                _pool_worker,
+                worker_id,
+                config.configs[worker_id % len(config.configs)],
+                query,
+                config.share_max_lbd if config.share_clauses else None,
+                tasks,
+                results,
+                inboxes,
+                stop,
+                expires_at,
             )
-            process.start()
-            send_conn.close()
-            if worker_id < len(processes):
-                announces[worker_id].close()
-                announces[worker_id] = recv_conn
-                processes[worker_id] = process
+            if worker_id < len(children):
+                children[worker_id].kill()  # reap the dead one
+                children[worker_id] = child
                 inflight[worker_id] = None
             else:
-                announces.append(recv_conn)
-                processes.append(process)
+                children.append(child)
                 inflight.append(None)
 
         for worker_id in range(workers):
@@ -684,32 +670,23 @@ class WorkScheduler:
         status = SolverStatus.UNSAT
         model: Optional[List[bool]] = None
 
-        def drain_announcements() -> None:
-            for worker_id, conn in enumerate(announces):
-                while True:
-                    try:
-                        if not conn.poll():
-                            break
-                        kind, payload = conn.recv()
-                    except (EOFError, OSError):
-                        break
+        def drain_announcements() -> List[int]:
+            """Apply every worker's announcements; returns the dead ones."""
+            dead = []
+            for worker_id, child in enumerate(children):
+                if child.wait(0):
+                    dead.append(worker_id)
+                for kind, payload in child.events():
                     if kind == "taken":
                         inflight[worker_id] = payload
                     else:  # "done"
                         inflight[worker_id] = None
+            return dead
 
         def recover_dead_workers() -> bool:
             """Re-enqueue lost cubes and respawn; False = give up."""
             nonlocal respawns, outstanding
-            dead = [
-                worker_id
-                for worker_id, process in enumerate(processes)
-                if process.exitcode is not None
-            ]
-            if not dead:
-                return True
-            drain_announcements()
-            for worker_id in dead:
+            for worker_id in drain_announcements():
                 lost = inflight[worker_id]
                 inflight[worker_id] = None
                 if lost is not None:
@@ -797,21 +774,16 @@ class WorkScheduler:
                     exported,
                     config_name,
                     runtime,
-                    span_batch,
-                    telemetry_batch,
+                    obs_payload,
                 ) = message
-                # Worker span batches merge into the parent collector: the
+                # The cube's spans merge into the parent collector: their
                 # ids are pid-prefixed and their parents are spans this
                 # collector already holds (inherited across the fork), so
                 # the cube subtree lands under the open dist.solve span.
-                collector = obs_trace.active()
-                if collector is not None and span_batch is not None:
-                    collector.absorb(span_batch)
-                # Worker heartbeats merge the same way (pid-tagged); the
-                # parent sink's flush callback then ships them onward.
-                sink = obs_telemetry.active()
-                if sink is not None and telemetry_batch:
-                    sink.absorb(telemetry_batch)
+                # Heartbeats merge into the parent sink (whose flush
+                # callback ships them onward) and the metrics delta into
+                # the process registry.
+                procs.absorb(obs_payload)
                 literals = tuple(literals)
                 key = (literals, depth)
                 if verdict != "sat" and open_cubes.get(key, 0) <= 0:
@@ -905,19 +877,7 @@ class WorkScheduler:
                 )
         finally:
             stop.set()
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=2.0)
-            # Escalate: a worker wedged in uninterruptible state (or with
-            # SIGTERM masked by a C extension) must not leak past teardown.
-            for process in processes:
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=1.0)
-            for conn in announces:
-                conn.close()
+            procs.kill_all(children)
             for q in [tasks, results] + (inboxes or []):
                 q.close()
                 q.cancel_join_thread()
@@ -926,16 +886,16 @@ class WorkScheduler:
         return DistResult(status=status, model=model, stats=stats)
 
 
-def _pool_worker(  # fork-entry
+def _pool_worker(  # fork-entry: a procs.Child target
+    announce,
     worker_id: int,
     personality: PortfolioConfig,
     query: SplitQuery,
     share_max_lbd: Optional[int],
-    tasks: "multiprocessing.Queue",
-    results: "multiprocessing.Queue",
-    inboxes: Optional[List["multiprocessing.Queue"]],
-    stop: "multiprocessing.synchronize.Event",
-    announce: Optional["multiprocessing.connection.Connection"] = None,
+    tasks,
+    results,
+    inboxes,
+    stop,
     expires_at: Optional[float] = None,
 ) -> None:
     """Worker process: build one solver, then steal cubes until stopped.
@@ -948,24 +908,20 @@ def _pool_worker(  # fork-entry
     exports and every peer sees every shared clause (unless a full inbox
     drops it).
 
-    ``announce`` is the crash-recovery pipe: the worker synchronously
-    announces each cube before solving it ("taken") and after reporting
-    it ("done"), so the scheduler knows exactly which cube died with a
-    killed worker.  ``expires_at`` is the inherited absolute monotonic
-    deadline (the fork shares the parent's clock), applied to every
-    solve call.
+    ``announce`` is the child's event channel, used for crash recovery:
+    the worker synchronously announces each cube before solving it
+    ("taken") and after reporting it ("done"), so the scheduler knows
+    exactly which cube died with a killed worker.  ``expires_at`` is the
+    inherited absolute monotonic deadline (the fork shares the parent's
+    clock), applied to every solve call.
     """
     deadline = None if expires_at is None else Deadline(expires_at=expires_at)
-    # The collector (if any) arrived through the fork memory snapshot with
-    # the parent's trace id and its open span stack -- this worker's spans
-    # parent under the span that was open at fork time (dist.solve).
-    collector = obs_trace.active()
-    # Same for the telemetry sink: heartbeats recorded here ship home with
-    # each cube result, so the fork-inherited flush callback is detached
-    # to keep a heartbeat from travelling both channels.
+    # The collector, sink and registry (if any) arrived through the fork
+    # memory snapshot with the parent's trace id and its open span stack
+    # -- this worker's spans parent under the span that was open at fork
+    # time (dist.solve).  Each cube ships what it recorded with its result.
     telemetry = obs_telemetry.active()
     if telemetry is not None:
-        telemetry.detach_flush()
         telemetry.set_context(worker=worker_id)
     solver, reduction = personality.build_solver(
         query.clauses, query.num_vars, query.frozen
@@ -977,13 +933,8 @@ def _pool_worker(  # fork-entry
             literals, depth, budget = tasks.get(timeout=0.05)
         except queue_module.Empty:
             continue
-        obs_mark = None if collector is None else collector.mark()
-        telemetry_mark = None if telemetry is None else telemetry.mark()
-        if announce is not None:
-            try:
-                announce.send(("taken", (literals, depth, budget)))
-            except (BrokenPipeError, OSError):
-                pass
+        obs_mark = procs.mark()
+        announce(("taken", (literals, depth, budget)))
         # Chaos-harness injection point: a seeded "kill" here dies with
         # the cube announced but unreported -- the exact window the
         # scheduler's recovery path must cover.
@@ -1044,14 +995,7 @@ def _pool_worker(  # fork-entry
                 exported,
                 personality.name,
                 time.perf_counter() - cube_start,
-                None if obs_mark is None else collector.batch_since(obs_mark),
-                None
-                if telemetry_mark is None
-                else telemetry.batch_since(telemetry_mark),
+                procs.ship(obs_mark),
             )
         )
-        if announce is not None:
-            try:
-                announce.send(("done", None))
-            except (BrokenPipeError, OSError):
-                pass
+        announce(("done", None))

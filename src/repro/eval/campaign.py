@@ -15,24 +15,23 @@ focus sets and runs every feature on every version -- the faithful but slow
 configuration.
 
 The per-bug jobs are completely independent -- each builds its own design,
-QED module and solver -- so :func:`run_campaign` can fan them out over a
-``ProcessPoolExecutor`` (``workers=N``).  The merge is deterministic: records
-come back in the order the bugs were selected regardless of which worker
-finished first, so a parallel campaign produces the same records as a serial
-one (modulo wall-clock fields).
+QED module and solver -- so :func:`run_campaign` can fan them out over
+``workers=N`` :class:`repro.procs.Child` processes, one per bug.  The merge
+is deterministic: records come back in the order the bugs were selected
+regardless of which child finished first, so a parallel campaign produces
+the same records as a serial one (modulo wall-clock fields).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
+from repro import faults, procs
 from repro.analysis.netlist_lint import check_version_design
 from repro.deadline import Deadline
 from repro.dist.scheduler import SplitConfig
@@ -120,9 +119,9 @@ class CampaignConfig:
 
     ``split`` routes every QED BMC query through the distributed proof
     engine (cube-and-conquer + portfolio, see :mod:`repro.dist`); it
-    composes with ``run_campaign(workers=N)``: the pool fans out over bugs,
-    and each bug's hard query can additionally fan out over cubes.  Leave it
-    ``None`` inside an outer process pool unless cores are plentiful.
+    composes with ``run_campaign(workers=N)``: the children fan out over
+    bugs, and each bug's hard query can additionally fan out over cubes.
+    Leave it ``None`` under ``workers > 1`` unless cores are plentiful.
 
     ``preprocess`` and ``max_conflicts_per_query`` forward to
     :meth:`repro.qed.harness.SymbolicQED.check` (formula reduction on/off
@@ -398,8 +397,8 @@ def detect_bug(
     """Run every configured technique against one bug (a campaign *job*).
 
     Each job is self-contained -- it elaborates its own design and solver
-    state -- which is what makes the process-pool fan-out of
-    :func:`run_campaign` safe: workers share nothing.  ``on_bound`` is the
+    state -- which is what makes the per-bug children of
+    :func:`run_campaign` safe: they share nothing.  ``on_bound`` is the
     per-bound progress hook forwarded to the BMC engine (see
     :meth:`repro.bmc.engine.BoundedModelChecker.run`); the serving layer
     uses it to stream progress while a job runs.
@@ -481,22 +480,15 @@ def detect_bug(
             obs_trace.clear()
 
 
-def _detect_bug_job(
-    job: Tuple[str, CampaignConfig]
-) -> Tuple[BugDetectionRecord, Optional[dict]]:
-    """Pool entry point (top-level so it pickles).
-
-    Returns the record plus the span batch this job recorded on the
-    collector inherited across the fork (``None`` when the parent ran
-    without tracing) -- the campaign's "progress pipe" is the pool's
-    return channel, so spans ride back with the result.
-    """
-    bug_id, config = job
-    collector = obs_trace.active()
-    obs_mark = None if collector is None else collector.mark()
+def _detect_bug_job(  # fork-entry: a procs.Child target
+    emit, bug_id: str, config: CampaignConfig
+) -> Tuple[BugDetectionRecord, Dict[str, object]]:
+    """One campaign job in a child: the record plus the obs payload
+    (spans, heartbeats and metrics recorded on the state inherited across
+    the fork)."""
+    obs_mark = procs.mark()
     record = detect_bug(bug_id, config)
-    batch = None if obs_mark is None else collector.batch_since(obs_mark)
-    return record, batch
+    return record, procs.ship(obs_mark)
 
 
 #: Format tag of the campaign journal's header line.
@@ -586,10 +578,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Run the campaign and return the per-bug detection records.
 
-    ``workers`` > 1 fans the independent per-bug jobs out over a
-    ``ProcessPoolExecutor``.  Records are merged back in bug-selection order
-    (``pool.map`` preserves input order), so the result is deterministic and
-    identical to a serial run apart from the wall-clock fields.
+    ``workers`` > 1 runs the independent per-bug jobs in at most
+    ``workers`` children at a time, one child per bug.  Records are merged
+    back (and journaled) in bug-selection order, so the result is
+    deterministic and identical to a serial run apart from the wall-clock
+    fields; a child that crashes or raises fails the campaign.
 
     ``journal_path`` makes the campaign crash-safe: every completed
     record is appended (and flushed) to the journal the moment it is
@@ -651,8 +644,8 @@ def run_campaign(
     pending = [bug for bug in selected_bugs if bug.bug_id not in done]
     # Campaign entry is a trace root for direct runs (the serving layer
     # never reaches this path with a collector of its own installed).
-    # Fork-pool workers inherit the installed collector and ship their
-    # span batches back with each record.
+    # Children inherit the installed collector, sink and registry and ship
+    # what they recorded back with each record.
     owned = obs_trace.active() is None
     if owned:
         obs_trace.start_trace()
@@ -666,26 +659,7 @@ def run_campaign(
                 done[bug.bug_id] = record
                 journal_record(record)
         else:
-            # ``fork`` keeps the already-imported package (and sys.path) in
-            # the workers; the jobs are CPU-bound pure Python so processes,
-            # not threads, are required to use more than one core.
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            jobs = [(bug.bug_id, config) for bug in pending]
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)), mp_context=context
-            ) as pool:
-                # ``pool.map`` yields in submission order, so records are
-                # journaled in bug-selection order even when a later-
-                # submitted job finishes first.
-                for record, span_batch in pool.map(_detect_bug_job, jobs):
-                    collector = obs_trace.active()
-                    if collector is not None and span_batch is not None:
-                        collector.absorb(span_batch)
-                    done[record.bug_id] = record
-                    journal_record(record)
+            _run_children(pending, config, workers, done, journal_record)
     finally:
         if journal is not None:
             journal.close()
@@ -698,3 +672,53 @@ def run_campaign(
     campaign.records = [done[bug.bug_id] for bug in selected_bugs]
     campaign.wall_clock_seconds = time.perf_counter() - start
     return campaign
+
+
+#: Seconds between polls of a parallel campaign's children.
+_POLL_SECONDS = 0.02
+
+
+def _run_children(
+    pending: Sequence[Bug],
+    config: CampaignConfig,
+    workers: int,
+    done: Dict[str, BugDetectionRecord],
+    journal_record: Callable[[BugDetectionRecord], None],
+) -> None:
+    """Run *pending* bugs in at most *workers* children at a time.
+
+    Records land in *done* and are journaled in bug-selection order, even
+    when a later bug finishes first.
+    """
+    queued = deque(pending)
+    running: Dict[str, procs.Child] = {}
+    finished: Dict[str, BugDetectionRecord] = {}
+    order = [bug.bug_id for bug in pending]
+    journaled = 0
+    try:
+        while journaled < len(order):
+            while queued and len(running) < workers:
+                bug = queued.popleft()
+                running[bug.bug_id] = procs.Child(
+                    _detect_bug_job, bug.bug_id, config
+                )
+            exited = [bug_id for bug_id, child in running.items() if child.wait(0)]
+            if not exited:
+                time.sleep(_POLL_SECONDS)
+                continue
+            for bug_id in exited:
+                outcome = running.pop(bug_id).outcome()
+                if "result" not in outcome:
+                    raise RuntimeError(
+                        f"campaign job {bug_id!r} failed in its child: {outcome}"
+                    )
+                record, payload = outcome["result"]
+                procs.absorb(payload)
+                finished[bug_id] = record
+            while journaled < len(order) and order[journaled] in finished:
+                record = finished.pop(order[journaled])
+                done[record.bug_id] = record
+                journal_record(record)
+                journaled += 1
+    finally:
+        procs.kill_all(list(running.values()))

@@ -30,15 +30,15 @@ cheap enough to leave compiled into the real paths.
 
 Design constraints:
 
-* **Fork-compatible.**  Injection points live inside forked pool
-  workers (``serve/queue.py``, ``dist/scheduler.py``), so this module
+* **Fork-compatible.**  Injection points live inside forked children
+  (``serve/queue.py``, ``dist/scheduler.py``), so this module
   is in the fork-safety lint scope (``scripts/lint_repro.py``) and must
   not import ``threading``/``asyncio``.  State is plain module globals
   plus per-process dict counters; a forked child inherits the installed
   injector by memory snapshot.
 * **Fire-once across retries.**  A "kill the worker once" fault must
-  not re-fire after the queue replaces the broken pool — the fresh fork
-  inherits the *parent's* counters, not the dead child's.  ``once=True``
+  not re-fire when the queue retries the job in a fresh child — the
+  fresh fork inherits the *parent's* counters, not the dead child's.  ``once=True``
   claims a token file in ``token_dir`` with ``O_CREAT | O_EXCL``, which
   is atomic across processes, so exactly one hit anywhere fires.
 * **Deterministic.**  ``at=0`` asks the injector to derive the firing

@@ -3,10 +3,10 @@
 A :class:`MetricsRegistry` is a plain in-process accumulator -- no locks,
 no background threads, no sockets -- which is what makes it safe to
 inherit across ``fork()`` and to live inside the fork-safety lint scope.
-Cross-process aggregation is *explicit*: a forked worker takes a
+Cross-process aggregation is *explicit*: a forked child takes a
 :meth:`~MetricsRegistry.snapshot` at job start, computes the
-:func:`diff_snapshots` delta at job end, and ships that delta over the
-pipe it already reports on; the parent folds it in with
+:func:`diff_snapshots` delta at job end, and ships that delta home in its
+:func:`repro.procs.ship` payload; the parent folds it in with
 :meth:`~MetricsRegistry.merge`.  Counters and histograms add, gauges take
 the most recent value.
 
@@ -222,8 +222,9 @@ class MetricsRegistry:
 def diff_snapshots(now: Snapshot, then: Snapshot) -> Snapshot:
     """Counter/histogram delta ``now - then``; gauges pass through as-is.
 
-    This is how a long-lived pool worker ships per-job metrics without
-    double counting: mark at job start, diff at job end, ship the delta.
+    This is how a child ships what it recorded without re-shipping what
+    it inherited across the fork: mark at job start, diff at job end, ship
+    the delta (:func:`repro.procs.ship`).
     """
 
     def _series_map(snap: Snapshot, kind: str) -> Dict[str, Dict[LabelKey, object]]:

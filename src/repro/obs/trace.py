@@ -14,12 +14,14 @@ branch.
 Fork propagation falls out of the memory model: a cube worker forked while
 a ``dist.solve`` span is open inherits the collector *with that span on
 the stack*, so the worker's first span parents under it and carries the
-parent's trace id.  The worker then ships its completed spans back over
-whatever pipe it already reports results on (the scheduler's results
-queue, the campaign pool's return value, the serve progress queue) and the
-parent absorbs them with :meth:`ObsCollector.absorb` -- span ids are
-prefixed with the recording pid, so batches from any number of children
-merge without collisions.
+parent's trace id.  Every child is started by :mod:`repro.procs`, and
+every child ships the same payload home: :func:`repro.procs.ship` packs
+the spans and events recorded since :func:`repro.procs.mark` (plus
+heartbeats and the process-metrics delta) and the parent merges it with
+:func:`repro.procs.absorb` -- or, for served jobs, the queue's
+``__obs__`` handler re-roots it into the job's :class:`TraceStore` entry.
+Span ids are prefixed with the recording pid, so batches from any number
+of children merge without collisions.
 
 No locks anywhere: collectors are single-writer by construction (one
 process, one logical job at a time), which is what lets this module sit

@@ -22,15 +22,15 @@ Architecture
     |  that connection only, the accept loop never dies                  |
     |  admission control: bounded queue depth + per-client token bucket  |
     |  (X-Client-Id) => 429 + Retry-After instead of unbounded backlog   |
-    |  GET /healthz: readiness (pool liveness, cache writability, queue  |
-    |  depth, fleet liveness) -- 503 while pool rebuilds / cache         |
-    |  read-only / draining / fleet-only with no live remote worker      |
+    |  GET /healthz: readiness (cache writability, queue depth, fleet    |
+    |  liveness) -- 503 while the cache is read-only / draining /        |
+    |  fleet-only with no live remote worker                             |
     |  SIGTERM -> drain(): running solves finish (local AND leased       |
     |  remote), queued specs persist to queue_state.json, restored on    |
     |  the next start                                                    |
     +------+--------------------------------+-----------------------------+
            v                                | POST /fleet/* (remote pull)
-    (local fork pool)                       v
+    (local children)                        v
     +----------- FleetCoordinator + FleetWorker (repro.serve.fleet) ------+
     |  worker protocol: register -> lease(job, fence epoch, TTL) ->       |
     |  heartbeat (renews lease, ships telemetry/progress batches) ->      |
@@ -61,12 +61,14 @@ Architecture
     |    |-- identical in-flight spec -> coalesce (N waiters, one solve)  |
     |    |-- quarantined spec (kept killing workers) -> fail fast,        |
     |    |       force=True clears                                        |
-    |    '-- else: priority heap -> scheduler -> fork process pool        |
-    |              detect_bug(...) with remaining deadline budget and     |
-    |              on_bound streaming BoundStats back through a shared    |
-    |              mp queue; worker crash => pool replaced + retry with   |
-    |              capped backoff, then quarantine (never a hung job);    |
-    |              deadline expiry => honest non-definitive UNKNOWN       |
+    |    '-- else: priority heap -> scheduler -> one repro.procs.Child    |
+    |              per dispatch: detect_bug(...) with remaining deadline  |
+    |              budget, on_bound streaming BoundStats back over the    |
+    |              child's pipe; outcome -> complete / fail / requeue,    |
+    |              the same methods a fleet commit uses; child crash =>   |
+    |              retry with capped backoff, then quarantine (never a    |
+    |              hung job); deadline expiry => honest non-definitive    |
+    |              UNKNOWN                                                |
     +---------------------------+-----------------------------------------+
                                 v
     +------------------ ResultCache (repro.serve.cache) ------------------+

@@ -53,8 +53,6 @@ class QueueStats(TypedDict, total=False):
     failed: int
     cancelled: int
     retried: int
-    pool_rebuilds: int
-    pool_broken: bool
     deadline_expired: int
     quarantined: int
     quarantine_rejections: int

@@ -1,7 +1,7 @@
 """Multi-host solve fabric: lease-based remote workers over HTTP.
 
-The serving stack of :mod:`repro.serve` is single-process: one
-:class:`~repro.serve.queue.JobQueue` dispatching to a local executor pool.
+The serving stack of :mod:`repro.serve` is single-host: one
+:class:`~repro.serve.queue.JobQueue` running each job in a local child.
 This module adds the multi-host tier on top of the same queue, with the
 same invariant PR 7 established in-process -- **a fault may cost time or
 degrade a verdict to a non-definitive UNKNOWN, but a definitive verdict
@@ -26,8 +26,9 @@ Four pieces, all stdlib-only:
     out the lease clock.
 
 :class:`FleetWorker`
-    Worker-side pull loop: register, lease, solve (in a child process it
-    can SIGKILL on revocation, or a thread for tests), heartbeat while
+    Worker-side pull loop: register, lease, solve (in a
+    :class:`repro.procs.Child` it kills on revocation, or a thread for
+    tests), heartbeat while
     solving (each beat renews the lease and ships buffered progress /
     telemetry / obs events upstream), then commit with the fence token.
     Chaos sites ``fleet.worker.heartbeat`` (drop a beat) and
@@ -52,9 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import multiprocessing
 import os
-import queue as queue_mod
 import random
 import socket
 import threading
@@ -64,10 +63,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
 
-from repro import faults
+from repro import faults, procs
 from repro.serve.cache import _LOG_NAME, ResultCache
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.queue import Job, JobState, _init_worker, execute_job_spec
+from repro.serve.queue import Job, JobState, _call_entry, execute_job_spec
 
 __all__ = [
     "AdmissionController",
@@ -255,7 +254,7 @@ class FleetCoordinator:
         if info is None:
             return {"lease": None, "reregister": True}
         self._touch(info, now)
-        job = self.queue.fleet_lease_pop()
+        job = self.queue.pop_next(remote=True)
         if job is None:
             return {"lease": None}
         fence = self._fences.get(job.job_id, 0) + 1
@@ -331,7 +330,7 @@ class FleetCoordinator:
 
         Accepted only for the currently active lease carrying the job's
         current fence epoch; the completion then runs through the exact
-        code path a local dispatch uses (:meth:`JobQueue.fleet_complete`),
+        code path a local dispatch uses (:meth:`JobQueue.complete`),
         which is what makes a remote definitive verdict byte-identical to
         a direct run.  Everything else is rejected with a reason --
         ``stale_fence`` (the zombie case: the lease expired, and possibly
@@ -430,7 +429,7 @@ class FleetCoordinator:
     def _forward_events(self, job_id: str, events: object) -> None:
         """Feed worker-shipped events through the queue's progress path.
 
-        Each event is exactly what the local progress pipe would carry: a
+        Each event is exactly what a local job's child would emit: a
         per-bound stats dict, a ``{"__telemetry__": [...]}`` batch, or a
         ``{"__obs__": {...}}`` batch -- so telemetry rings, trace
         re-rooting and metrics merging all work unchanged for remote jobs.
@@ -450,7 +449,7 @@ class FleetCoordinator:
         """Commit an accepted lease's outcome to the queue."""
         result = body.get("result")
         if isinstance(result, dict) and isinstance(result.get("record"), dict):
-            self.queue.fleet_complete(job, result)
+            self.queue.complete(job, result)
             self.commits_accepted += 1
             if info is not None:
                 info.jobs_done += 1
@@ -458,17 +457,17 @@ class FleetCoordinator:
             return {"accepted": True, "reason": "accepted"}
         if body.get("crashed"):
             # The remote *solver process* died under the worker -- the
-            # same retryable class as a local pool crash, so it goes back
+            # same retryable class as a local child crash, so it goes back
             # through the capped-backoff/quarantine machinery instead of
             # failing the job on a deterministic-error path.
             self.crash_reports += 1
             self.queue.metrics.inc("qed_fleet_crash_reports_total")
-            requeued = self.queue.fleet_requeue(job, reason="worker_crash")
+            requeued = self.queue.requeue(job, reason="worker_crash")
             if not requeued:
                 self._fences.pop(job.job_id, None)
             return {"accepted": True, "reason": "crash_reported", "requeued": requeued}
         error = str(body.get("error") or "remote worker reported no result")
-        self.queue.fleet_fail(job, error)
+        self.queue.fail(job, error)
         self.commits_accepted += 1
         self._fences.pop(job.job_id, None)
         return {"accepted": True, "reason": "accepted"}
@@ -501,7 +500,7 @@ class FleetCoordinator:
         if job is not None and job.state is JobState.RUNNING:
             self.lease_reassignments += 1
             self.queue.metrics.inc("qed_fleet_lease_reassignments_total")
-            self.queue.fleet_requeue(job, reason=reason)
+            self.queue.requeue(job, reason=reason)
 
     def sweep(self, now: float) -> None:
         """One reaper pass: liveness transitions, lease expiry, GC."""
@@ -584,162 +583,13 @@ class FleetCoordinator:
 
 # ----------------------------------------------------------------------
 # Worker side.
-def _remote_child(  # fork-entry: dispatched via multiprocessing.Process
-    entry: Callable,
-    spec_dict: Dict[str, object],
-    job_id: str,
-    deadline_seconds: Optional[float],
-    progress_queue,
-    result_queue,
-) -> None:
-    """Child-process body of one remote solve.
-
-    Installs the progress queue exactly like the local pool initializer
-    does, so ``execute_job_spec`` ships per-bound progress, telemetry
-    batches and obs batches through the same ``(job_id, payload)`` tuples
-    -- the worker relays them upstream in heartbeat/commit bodies.
-    """
-    _init_worker(progress_queue)
-    try:
-        kwargs: Dict[str, object] = {}
-        if deadline_seconds is not None:
-            kwargs["deadline_seconds"] = deadline_seconds
-        outcome: Dict[str, object] = {
-            "result": entry(spec_dict, job_id, **kwargs)
-        }
-    except BaseException as exc:  # entry exceptions are deterministic
-        outcome = {"error": f"{type(exc).__name__}: {exc}"}
-    try:
-        result_queue.put(outcome)
-        result_queue.close()
-        result_queue.join_thread()  # flush before exit; the put is the point
-    except Exception:
-        pass
-
-
-class _ProcessRunner:
-    """One solve in a child process (killable on lease revocation)."""
-
-    def __init__(
-        self,
-        entry: Callable,
-        spec_dict: Dict[str, object],
-        job_id: str,
-        deadline_seconds: Optional[float],
-    ) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        self._progress = ctx.Queue()
-        self._result = ctx.Queue()
-        self._proc = ctx.Process(
-            target=_remote_child,
-            args=(
-                entry,
-                spec_dict,
-                job_id,
-                deadline_seconds,
-                self._progress,
-                self._result,
-            ),
-            daemon=True,
-        )
-        self._proc.start()
-
-    def wait(self, timeout: float) -> bool:
-        self._proc.join(timeout)
-        return self._proc.exitcode is not None
-
-    def drain_events(self) -> List[Dict[str, object]]:
-        events: List[Dict[str, object]] = []
-        while True:
-            try:
-                item = self._progress.get_nowait()
-            except (queue_mod.Empty, EOFError, OSError):
-                break
-            if (
-                isinstance(item, tuple)
-                and len(item) == 2
-                and isinstance(item[1], dict)
-            ):
-                events.append(item[1])
-        return events
-
-    def kill(self) -> None:
-        if self._proc.exitcode is None:
-            self._proc.kill()
-        self._proc.join(1.0)
-
-    def outcome(self) -> Dict[str, object]:
-        try:
-            out = self._result.get(timeout=1.0)
-        except (queue_mod.Empty, EOFError, OSError):
-            out = None
-        if isinstance(out, dict):
-            return out
-        return {"crashed": True, "exitcode": self._proc.exitcode}
-
-
-class _ThreadRunner:
-    """One solve on a thread (test mode; revocation abandons the thread)."""
-
-    def __init__(
-        self,
-        entry: Callable,
-        spec_dict: Dict[str, object],
-        job_id: str,
-        deadline_seconds: Optional[float],
-    ) -> None:
-        self._events: List[Dict[str, object]] = []
-        self._lock = threading.Lock()
-        self._outcome: Optional[Dict[str, object]] = None
-
-        def progress(stats: Dict[str, object]) -> None:
-            with self._lock:
-                self._events.append(stats)
-
-        def main() -> None:
-            try:
-                kwargs: Dict[str, object] = {}
-                if deadline_seconds is not None:
-                    kwargs["deadline_seconds"] = deadline_seconds
-                self._outcome = {
-                    "result": entry(spec_dict, job_id, progress, **kwargs)
-                }
-            except BaseException as exc:
-                self._outcome = {"error": f"{type(exc).__name__}: {exc}"}
-
-        self._thread = threading.Thread(
-            target=main, name="fleet-solve", daemon=True
-        )
-        self._thread.start()
-
-    def wait(self, timeout: float) -> bool:
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    def drain_events(self) -> List[Dict[str, object]]:
-        with self._lock:
-            events, self._events = self._events, []
-        return events
-
-    def kill(self) -> None:
-        pass  # threads cannot be killed; the daemon thread is abandoned
-
-    def outcome(self) -> Dict[str, object]:
-        out = self._outcome
-        if isinstance(out, dict):
-            return out
-        return {"crashed": True}
-
-
 class FleetWorker:
     """Pull-loop worker: register -> lease -> solve+heartbeat -> commit.
 
     ``use_processes=True`` (the deployment mode) runs each solve in a
-    child process that can be SIGKILLed when the coordinator revokes the
-    lease; ``use_processes=False`` runs it on a daemon thread (tests).
+    :class:`repro.procs.Child` that is killed when the coordinator revokes
+    the lease; ``use_processes=False`` runs it on a
+    :class:`repro.procs.ThreadChild` (tests).
     The worker's client backoff is jittered with a seed derived from the
     worker id, so a fleet that lost its server retries decorrelated
     instead of in lockstep.
@@ -860,13 +710,15 @@ class FleetWorker:
         deadline_seconds = lease.get("deadline_seconds")
         if deadline_seconds is not None:
             deadline_seconds = float(deadline_seconds)
-        runner_cls = _ProcessRunner if self.use_processes else _ThreadRunner
-        runner = runner_cls(self.entry, spec_dict, job_id, deadline_seconds)
-        pending: List[Dict[str, object]] = []
+        runner = procs.Child if self.use_processes else procs.ThreadChild
+        child = runner(
+            _call_entry, self.entry, spec_dict, job_id, deadline_seconds
+        )
+        pending: List[object] = []
         revoked = False
         while True:
-            done = runner.wait(self.heartbeat_seconds)
-            pending.extend(runner.drain_events())
+            done = child.wait(self.heartbeat_seconds)
+            pending.extend(child.events())
             if done:
                 break
             # Chaos-harness message site: a seeded drop silences this beat
@@ -901,10 +753,10 @@ class FleetWorker:
                 # way, so there is nothing to abort here.
                 self.heartbeat_errors += 1
         if revoked:
-            runner.kill()  # the lease is gone; stop burning CPU on it
+            child.kill()  # the lease is gone; stop burning CPU on it
             return
-        outcome = runner.outcome()
-        pending.extend(runner.drain_events())
+        outcome = child.outcome()
+        pending.extend(child.events())
         body = {
             "worker_id": self.worker_id,
             "lease_id": lease_id,

@@ -1,8 +1,9 @@
-"""Asyncio job queue: priority scheduling, coalescing, process-pool bridge.
+"""Asyncio job queue: priority scheduling, coalescing, one child per job.
 
 One :class:`JobQueue` owns the serving state: a registry of jobs, a priority
-heap of queued work, the in-flight map used for deduplication, and the
-executor that actually runs :func:`repro.eval.campaign.detect_bug`.
+heap of queued work, and the in-flight map used for deduplication.  Each
+dispatched job runs :func:`repro.eval.campaign.detect_bug` in its own
+:class:`repro.procs.Child`.
 
 Lifecycle of a submission
 =========================
@@ -14,15 +15,18 @@ Lifecycle of a submission
 3. **Coalesce** -- an identical spec already queued or running returns the
    *same* job: N submitters, one solve, everyone long-polls the same id.
 4. Otherwise the job is queued by ``(priority, arrival)`` and picked up by
-   the scheduler when an executor slot frees.  Execution happens in a
-   worker process (``fork`` context, mirroring the campaign pool); per-bound
-   :class:`~repro.bmc.engine.BoundStats` stream back through a shared
-   multiprocessing queue and land in :attr:`Job.progress` as they arrive.
-5. On completion the record is admitted to the result cache under monotone
-   upgrade semantics; on a worker crash the broken pool is replaced and the
-   job is **retried** with capped exponential backoff.  A spec that keeps
-   killing workers is quarantined (``force=True`` clears it); only then
-   does the job end ``FAILED`` (never hung).
+   the scheduler when one of the ``workers`` slots frees.  Each dispatch
+   forks one :class:`~repro.procs.Child` (a direct child of the server);
+   per-bound :class:`~repro.bmc.engine.BoundStats` stream back over its
+   pipe and land in :attr:`Job.progress` as they arrive.
+5. The child's outcome takes the same path a fleet commit takes: a result
+   goes through :meth:`JobQueue.complete` (the record is admitted to the
+   result cache under monotone upgrade semantics), an exception raised by
+   the entry through :meth:`JobQueue.fail`, and a child that died through
+   :meth:`JobQueue.requeue` (``reason="worker_crash"``): the job is
+   **retried** with capped exponential backoff, and a spec that keeps
+   killing its children is quarantined (``force=True`` clears it); only
+   then does the job end ``FAILED`` (never hung).
 
 Fault tolerance
 ===============
@@ -35,47 +39,47 @@ Fault tolerance
   the worker, which propagates it down to the solver.
 * :meth:`JobQueue.drain` is the graceful-shutdown path: stop dispatching,
   let running solves finish, snapshot still-queued specs to a JSON-able
-  dict that :meth:`JobQueue.restore_state` resubmits after a restart.
+  dict that :meth:`JobQueue.restore_state` resubmits after a restart.  A
+  job whose child dies during the drain goes back into the snapshot.
 
 Observability
 =============
 
 Every job owns a trace (:class:`repro.obs.trace.TraceStore` entry keyed by
 job id): the queue records its own spans (cache read/write, queue-wait,
-each dispatch attempt) and worker processes run under their own
-:class:`~repro.obs.trace.ObsCollector`, shipping completed spans and a
-process-metrics delta back through the existing progress pipe as a tagged
-``{"__obs__": ...}`` payload that :meth:`JobQueue._on_progress` diverts
-into the store (re-rooted under the attempt span) and the queue's
-:class:`~repro.obs.metrics.MetricsRegistry`.  Jobs that FAIL, are
-quarantined, or expire their deadline dump a flight-recorder JSON artifact
-(:class:`repro.obs.flight.FlightRecorder`) with the trace attached.
+each dispatch attempt) and the job's child runs under its own
+:class:`~repro.obs.trace.ObsCollector`.  The child streams heartbeats as
+``{"__telemetry__": [...]}`` events while it solves and, at the end, the
+:func:`repro.procs.ship` payload (completed spans plus a process-metrics
+delta) as one ``{"__obs__": ...}`` event; :meth:`JobQueue._on_progress`
+diverts both into the store (re-rooted under the attempt span), the job's
+heartbeat ring and the queue's :class:`~repro.obs.metrics.MetricsRegistry`.
+Local children and remote fleet workers send the same events.  Jobs that
+FAIL, are quarantined, or expire their deadline dump a flight-recorder
+JSON artifact (:class:`repro.obs.flight.FlightRecorder`) with the trace
+attached.
 
-``use_processes=False`` swaps the process pool for threads -- same contract,
-no fork -- which in-process demos (``examples/serve_quickstart.py``) use.
+``use_processes=False`` runs each job on a :class:`~repro.procs.ThreadChild`
+instead -- same contract, no fork -- which in-process demos
+(``examples/serve_quickstart.py``) use.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import heapq
 import itertools
-import multiprocessing
 import os
 import random
-import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro import faults
+from repro import faults, procs
 from repro.deadline import Deadline
 from repro.eval.campaign import detect_bug, record_to_json_dict
-from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.flight import FlightRecorder
@@ -93,6 +97,9 @@ __all__ = [
     "execute_job_spec",
 ]
 
+
+#: Seconds between polls of a running job's child (events, exit).
+_POLL_SECONDS = 0.02
 
 #: Telemetry heartbeats retained per job (older ones fall off the ring;
 #: ``GET /jobs/<id>/telemetry`` reports how many were dropped).
@@ -147,7 +154,7 @@ class Job:
     #: Wall-clock budget (absolute monotonic expiry).  NOT part of the
     #: cache key: the deadline describes the submission, not the problem.
     deadline: Optional[Deadline] = None
-    #: Executor dispatches so far; bumped on each worker-crash retry.
+    #: Crash retries so far; bumped on each worker-crash requeue.
     attempts: int = 0
     #: Per-bound progress events (:meth:`BoundStats.to_json_dict` dicts).
     progress: List[Dict[str, object]] = field(default_factory=list)
@@ -198,30 +205,24 @@ class Job:
 
 
 # ----------------------------------------------------------------------
-# Worker-process side.  ``_PROGRESS_QUEUE`` is installed by the pool
-# initializer; with the fork start method the queue object is inherited.
-_PROGRESS_QUEUE = None
+# Child side: entries run in a :class:`repro.procs.Child` (or a thread).
 
 
-def _init_worker(progress_queue) -> None:
-    global _PROGRESS_QUEUE
-    _PROGRESS_QUEUE = progress_queue
-
-
-def execute_job_spec(  # fork-entry: dispatched via functools.partial
+def execute_job_spec(  # fork-entry: runs in a procs child via _call_entry
     spec_dict: Dict[str, object],
     job_id: str = "",
-    progress: Optional[Callable[[Dict[str, object]], None]] = None,
+    emit: Optional[Callable[[Dict[str, object]], None]] = None,
     *,
     deadline_seconds: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Executor entry point: run one campaign job described by *spec_dict*.
+    """Entry point of one served job: run the campaign job *spec_dict*.
 
-    Returns ``{"record": <record json dict>, "definitive": bool}``.  Runs
-    in a worker process (``progress`` is then the inherited multiprocessing
-    queue) or in a thread (``progress`` is a direct callback).  The design
-    fingerprint is re-verified against the current content so a stale spec
-    fails loudly instead of caching a result under the wrong key.
+    Returns ``{"record": <record json dict>, "definitive": bool}``.
+    ``emit`` receives the job's events: per-bound progress dicts,
+    ``{"__telemetry__": [...]}`` heartbeat batches while the solve runs,
+    and one closing ``{"__obs__": ...}`` payload.  The design fingerprint
+    is re-verified against the current content so a stale spec fails
+    loudly instead of caching a result under the wrong key.
 
     ``deadline_seconds`` is the budget *remaining* at dispatch time; it is
     rebased onto this process's monotonic clock and propagated through
@@ -243,18 +244,8 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
                 f"fingerprint {spec.fingerprint[:12]}.., current is "
                 f"{current[:12]}.."
             )
-    send = progress
-    if send is None and _PROGRESS_QUEUE is not None:
-        queue = _PROGRESS_QUEUE
-
-        def send(stats_dict: Dict[str, object]) -> None:
-            try:
-                queue.put((job_id, stats_dict))
-            except Exception:
-                pass  # progress is best-effort; never fail the job for it
-
     on_bound = None
-    if send is not None:
+    if emit is not None:
         def on_bound(stats) -> None:
             # Chaos-harness message site: progress is best-effort, so a
             # seeded drop must be invisible to the verdict and a seeded
@@ -262,25 +253,20 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
             fate = faults.message_fate("serve.queue.progress")
             if fate == "drop":
                 return
-            send(stats.to_json_dict())
+            emit(stats.to_json_dict())
             if fate == "duplicate":
-                send(stats.to_json_dict())
+                emit(stats.to_json_dict())
 
-    # The job runs under its own collector (pool workers are long-lived,
-    # so a fork-inherited one would mix jobs); the queue re-roots the
-    # shipped batch under this dispatch's attempt span.  Metrics ship as
-    # a delta against the process registry so a reused worker never
-    # double-counts earlier jobs.
+    # The job runs under its own collector (a thread-backed queue shares
+    # the process globals, so an inherited one would mix jobs); the queue
+    # re-roots the shipped spans under this dispatch's attempt span.  The
+    # mark is taken before the streaming sink below is installed: its
+    # heartbeats travel live as ``__telemetry__``, not in the payload.
     collector = obs_trace.start_trace()
-    metrics_mark = obs_metrics.process_metrics().snapshot()
-    # Telemetry heartbeats ship *while* the solve runs (tagged
-    # ``__telemetry__``, riding the same progress pipe as ``__obs__``),
-    # which is what makes GET /jobs/<id>/telemetry live rather than a
-    # post-mortem.  A fresh per-job sink for the same reason as the
-    # collector: a fork-inherited one would mix jobs.
+    obs_mark = procs.mark()
     telemetry_sink = None
-    if send is not None and obs_telemetry.enabled():
-        shipper = send
+    if emit is not None and obs_telemetry.enabled():
+        shipper = emit
 
         def _ship_heartbeats(batch: List[Dict[str, object]]) -> None:
             shipper({"__telemetry__": batch})
@@ -301,33 +287,30 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
             telemetry_sink.flush()
         if collector is not None:
             obs_trace.clear()
-            if send is not None:
-                batch = collector.batch_since((0, 0))
-                batch["metrics"] = obs_metrics.diff_snapshots(
-                    obs_metrics.process_metrics().snapshot(), metrics_mark
-                )
-                send({"__obs__": batch})
+        if emit is not None:
+            emit({"__obs__": procs.ship(obs_mark)})
     return {
         "record": record_to_json_dict(record),
         "definitive": record.qed_definitive,
     }
 
 
-def _selftest_entry(  # fork-entry: dispatched via functools.partial
+def _selftest_entry(  # fork-entry: runs in a procs child via _call_entry
     spec_dict: Dict[str, object],
     job_id: str = "",
-    progress: Optional[Callable[[Dict[str, object]], None]] = None,
+    emit: Optional[Callable[[Dict[str, object]], None]] = None,
     *,
     deadline_seconds: Optional[float] = None,
 ) -> Dict[str, object]:
     """Deterministic test double for :func:`execute_job_spec`.
 
-    Kept importable here so it pickles into worker processes.  Behaviour is
-    keyed on the (synthetic) ``bug_id``: ``__crash__`` kills the worker
-    process outright (the ``FAILED``-not-hung regression hook),
-    ``__sleep:S__`` holds the slot for ``S`` seconds (the coalescing hook);
-    anything else echoes a canned record.  A received ``deadline_seconds``
-    is echoed into the record so tests can assert budget propagation.
+    Kept importable here so tests and ``scripts/loadgen_qed.py`` can name
+    it.  Behaviour is keyed on the (synthetic) ``bug_id``: ``__crash__``
+    kills the job's process outright (the ``FAILED``-not-hung regression
+    hook), ``__sleep:S__`` holds the slot for ``S`` seconds (the
+    coalescing hook); anything else echoes a canned record.  A received
+    ``deadline_seconds`` is echoed into the record so tests can assert
+    budget propagation.
     """
     faults.crash_point("serve.queue.worker")
     bug_id = str(spec_dict.get("bug_id", ""))
@@ -335,18 +318,12 @@ def _selftest_entry(  # fork-entry: dispatched via functools.partial
         os._exit(1)
     if bug_id.startswith("__sleep:"):
         time.sleep(float(bug_id[len("__sleep:"):].rstrip("_")))
-    if progress is None and _PROGRESS_QUEUE is not None:
-        queue = _PROGRESS_QUEUE
-
-        def progress(stats_dict: Dict[str, object]) -> None:
-            queue.put((job_id, stats_dict))
-
-    if progress is not None:
+    if emit is not None:
         fate = faults.message_fate("serve.queue.progress")
         if fate != "drop":
-            progress({"bound": 1, "verdict": "unsat", "selftest": True})
+            emit({"bound": 1, "verdict": "unsat", "selftest": True})
             if fate == "duplicate":
-                progress({"bound": 1, "verdict": "unsat", "selftest": True})
+                emit({"bound": 1, "verdict": "unsat", "selftest": True})
     record: Dict[str, object] = {
         "bug_id": bug_id,
         "version_name": str(spec_dict.get("version", "X")),
@@ -358,9 +335,26 @@ def _selftest_entry(  # fork-entry: dispatched via functools.partial
     return {"record": record, "definitive": True}
 
 
+def _call_entry(  # fork-entry: the procs.Child target of every served job
+    emit: Callable[[Dict[str, object]], None],
+    entry: Callable,
+    spec_dict: Dict[str, object],
+    job_id: str,
+    deadline_seconds: Optional[float],
+) -> Dict[str, object]:
+    """Call *entry* the way every served job is called (local or fleet).
+
+    No deadline means no ``deadline_seconds`` keyword at all, so entries
+    with the historic three-argument signature keep working.
+    """
+    if deadline_seconds is None:
+        return entry(spec_dict, job_id, emit)
+    return entry(spec_dict, job_id, emit, deadline_seconds=deadline_seconds)
+
+
 # ----------------------------------------------------------------------
 class JobQueue:
-    """Priority scheduler + dedup/coalescing front over an executor pool.
+    """Priority scheduler + dedup/coalescing front over per-job children.
 
     All public methods must be called from the owning event loop's thread
     (the HTTP server and the in-process helpers guarantee that).  Cache
@@ -384,7 +378,7 @@ class JobQueue:
         max_queue_depth: Optional[int] = None,
         flight_dir: Optional[str] = None,
     ) -> None:
-        # ``workers=0`` is the fleet-only deployment: no local executor,
+        # ``workers=0`` is the fleet-only deployment: no local children,
         # every solve pulled by remote workers through the coordinator.
         if workers < 0:
             raise ValueError("workers must be at least 0")
@@ -398,7 +392,7 @@ class JobQueue:
         self.workers = workers
         self.entry = entry
         self.use_processes = use_processes
-        #: Worker-crash retry policy: a job whose worker dies is re-queued
+        #: Worker-crash retry policy: a job whose child dies is re-queued
         #: up to ``max_retries`` times with capped exponential backoff
         #: (``base * 2**(attempt-1)``, never above ``cap`` seconds).
         self.max_retries = max_retries
@@ -427,19 +421,12 @@ class JobQueue:
         self._running = 0
         self._wake = asyncio.Event()
         self._scheduler_task: Optional[asyncio.Task] = None
-        self._executor = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._mp_context = None
-        self._progress_queue = None
-        self._drainer: Optional[threading.Thread] = None
+        self._job_tasks: Set[asyncio.Task] = set()
         #: Keys whose spec exhausted its crash retries; value is a
         #: structured reason dict.  Resubmissions fail fast until an
         #: operator clears the key with ``force=True``.
         self.quarantined: Dict[str, Dict[str, object]] = {}
         self._draining = False
-        #: True between a worker crash and the replacement pool's first
-        #: construction -- surfaced by ``GET /healthz`` as not-ready.
-        self._pool_broken = False
         # Counters for /stats.
         self.submitted = 0
         self.cache_hits = 0
@@ -448,7 +435,6 @@ class JobQueue:
         self.failed = 0
         self.cancelled = 0
         self.retried = 0
-        self.pool_rebuilds = 0
         self.deadline_expired = 0
         self.quarantine_rejections = 0
         self.queue_full_rejections = 0
@@ -466,22 +452,12 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind to the running loop and start the scheduler."""
-        self._loop = asyncio.get_running_loop()
-        if self.use_processes:
-            methods = multiprocessing.get_all_start_methods()
-            self._mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            self._progress_queue = self._mp_context.Queue()
-            self._drainer = threading.Thread(
-                target=self._drain_progress, name="serve-progress", daemon=True
-            )
-            self._drainer.start()
+        """Start the scheduler on the running loop."""
         self._scheduler_task = asyncio.create_task(self._scheduler())
 
     async def stop(self) -> None:
-        """Stop scheduling; running workers are abandoned, not awaited."""
+        """Stop scheduling; running jobs are not awaited (a job task
+        cancelled with the loop kills its child)."""
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
             try:
@@ -489,68 +465,6 @@ class JobQueue:
             except asyncio.CancelledError:
                 pass
             self._scheduler_task = None
-        self._discard_executor()
-        if self._progress_queue is not None:
-            try:
-                self._progress_queue.put(None)  # drainer shutdown sentinel
-            except Exception:
-                pass
-        if self._drainer is not None:
-            self._drainer.join(timeout=2.0)
-            if self._drainer.is_alive() and self._progress_queue is not None:
-                # Escalate: the sentinel can be lost if a worker wedged the
-                # queue's pipe.  Closing our read end makes the blocked
-                # ``get`` raise (EOFError/OSError), which the drainer
-                # treats as shutdown -- so rejoin once more.
-                try:
-                    self._progress_queue.close()
-                except Exception:
-                    pass
-                self._drainer.join(timeout=1.0)
-            self._drainer = None
-
-    # ------------------------------------------------------------------
-    def _ensure_executor(self):
-        if self._executor is None:
-            self._pool_broken = False
-            if self.use_processes:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._mp_context,
-                    initializer=_init_worker,
-                    initargs=(self._progress_queue,),
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="serve-worker",
-                )
-        return self._executor
-
-    def _discard_executor(self) -> None:
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _drain_progress(self) -> None:
-        """(thread) Pump per-bound events from workers into the loop."""
-        queue = self._progress_queue
-        while True:
-            try:
-                item = queue.get()
-            except (EOFError, OSError):
-                break
-            if item is None:
-                break
-            job_id, stats = item
-            loop = self._loop
-            if loop is None:
-                continue
-            try:
-                loop.call_soon_threadsafe(self._on_progress, job_id, stats)
-            except RuntimeError:
-                break  # loop closed; server is shutting down
 
     def _on_progress(self, job_id: str, stats: Dict[str, object]) -> None:
         if isinstance(stats, dict) and "__telemetry__" in stats:
@@ -810,31 +724,14 @@ class JobQueue:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            while (
-                self._heap
-                and self._running < self.workers
-                and not self._draining
-            ):
-                _, _, job_id = heapq.heappop(self._heap)
-                job = self.jobs.get(job_id)
-                if job is None or job.state is not JobState.QUEUED:
-                    continue  # cancelled, or a stale re-priority entry
-                if job.deadline is not None and job.deadline.expired():
-                    self._expire_queued(job)
-                    continue
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                self.queue_latency_total += job.started_at - job.submitted_at
-                self.queue_latency_jobs += 1
-                now_mono = time.monotonic()
-                wait = max(0.0, now_mono - job._queued_mono)
-                self.metrics.observe("qed_queue_wait_seconds", wait)
-                self.traces.add_span(
-                    job.job_id, "queue.wait", job._queued_mono, now_mono
-                )
+            while self._running < self.workers:
+                job = self.pop_next(remote=False)
+                if job is None:
+                    break
                 self._running += 1
-                self._bump(job)
-                asyncio.create_task(self._run_job(job))
+                task = asyncio.create_task(self._run_job(job))
+                self._job_tasks.add(task)
+                task.add_done_callback(self._job_tasks.discard)
 
     def _expire_queued(self, job: Job) -> None:
         """Complete a queued job whose wall-clock budget ran out.
@@ -870,65 +767,66 @@ class JobQueue:
         self._bump(job)
 
     async def _run_job(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
-        retry_delay: Optional[float] = None
-        # The attempt span opens *before* dispatch so the worker's shipped
-        # batch (which can arrive any time before the future resolves) has
-        # a live span to re-root under.
-        job._attempt_span_id = self.traces.add_span(
-            job.job_id,
-            "queue.attempt",
-            time.monotonic(),
-            None,
-            attempt=job.attempts + 1,
-        )
-        try:
-            executor = self._ensure_executor()
-            spec_dict = job.spec.canonical_dict()
-            kwargs: Dict[str, object] = {}
-            if job.deadline is not None:
-                # Hand the worker its *remaining* budget; it rebases onto
-                # its own monotonic clock and threads it down the stack.
-                kwargs["deadline_seconds"] = job.deadline.remaining()
-            if self.use_processes:
-                call = functools.partial(
-                    self.entry, spec_dict, job.job_id, **kwargs
-                )
-            else:
-                def progress(stats: Dict[str, object]) -> None:
-                    loop.call_soon_threadsafe(self._on_progress, job.job_id, stats)
+        """Run one dispatch in its own child and apply the outcome.
 
-                call = functools.partial(
-                    self.entry, spec_dict, job.job_id, progress, **kwargs
-                )
-            result = await loop.run_in_executor(executor, call)
-            self._finish_success(job, result)
-        except Exception as exc:
-            self.traces.close_span(
-                job.job_id, job._attempt_span_id, time.monotonic(),
-                outcome=type(exc).__name__,
+        The outcome takes the fleet commit's path: a result completes the
+        job, an exception raised by the entry fails it, and a child that
+        died requeues it as a ``worker_crash``.
+        """
+        deadline_seconds = None
+        if job.deadline is not None:
+            # Hand the child its *remaining* budget; it rebases onto its
+            # own monotonic clock and threads it down the stack.
+            deadline_seconds = job.deadline.remaining()
+        runner = procs.Child if self.use_processes else procs.ThreadChild
+        try:
+            child = runner(
+                _call_entry,
+                self.entry,
+                job.spec.canonical_dict(),
+                job.job_id,
+                deadline_seconds,
             )
-            retry_delay = self._job_failed(job, exc)
+        except OSError:  # no child could be started (fork failed)
+            outcome: Dict[str, object] = {"crashed": True, "exitcode": None}
+        else:
+            try:
+                while not child.wait(0):
+                    self._pump(job, child)
+                    await asyncio.sleep(_POLL_SECONDS)
+            except asyncio.CancelledError:
+                child.kill()
+                raise
+            self._pump(job, child)
+            outcome = child.outcome()
+        try:
+            if "result" in outcome:
+                try:
+                    self.complete(job, outcome["result"])
+                except Exception as exc:  # a malformed result
+                    self.fail(job, f"{type(exc).__name__}: {exc}")
+            elif "error" in outcome:
+                self.fail(job, str(outcome["error"]))
+            else:
+                self.requeue(job, reason="worker_crash")
         finally:
             self._running -= 1
-            if retry_delay is None:
-                job.finished_at = time.time()
-                if self._inflight.get(job.cache_key) is job:
-                    del self._inflight[job.cache_key]
-                self._retire(job)
-            self._bump(job)
             self._wake.set()
-        if retry_delay is not None:
-            await self._requeue_after(job, retry_delay)
+
+    def _pump(self, job: Job, child) -> None:
+        """Feed the events *child* sent so far through :meth:`_on_progress`."""
+        for event in child.events():
+            if isinstance(event, dict):
+                self._on_progress(job.job_id, event)
 
     def _finish_success(self, job: Job, result: Dict[str, object]) -> None:
         """Apply one successful entry result to *job* (local or remote).
 
         This is the single completion path: record post-processing, cache
         admission under monotone-upgrade semantics, counters, attempt-span
-        close and the deadline-expiry flight dump.  Remote commits
-        (:meth:`fleet_complete`) run through the same code, which is what
-        makes a served record byte-identical regardless of which host
+        close and the deadline-expiry flight dump.  Local children and
+        remote commits both reach it through :meth:`complete`, which is
+        what makes a served record byte-identical regardless of which host
         solved it.
         """
         record = dict(result["record"])
@@ -994,74 +892,8 @@ class JobQueue:
             avg = 1.0
         return max(0.5, min(30.0, avg))
 
-    def _job_failed(self, job: Job, exc: Exception) -> Optional[float]:
-        """Decide a failed dispatch's fate; returns a backoff delay to retry.
-
-        Only a ``BrokenExecutor`` (the worker process *died* -- OOM kill,
-        hard crash) is retried: the job never got an answer, so re-running
-        is safe and usually succeeds on a healthy pool.  An exception
-        *raised by* the entry is deterministic -- retrying would just
-        repeat it -- so it fails the job immediately.  A spec that kills
-        workers past ``max_retries`` is quarantined so resubmissions fail
-        fast instead of burning a fresh pool each time.
-        """
-        if isinstance(exc, BrokenExecutor):
-            # Every future on the broken pool fails with it; replace the
-            # pool so the next dispatch gets a healthy one.
-            self._discard_executor()
-            self._pool_broken = True
-            self.pool_rebuilds += 1
-            self.metrics.inc("qed_pool_rebuilds_total")
-            job.attempts += 1
-            if (
-                job.attempts <= self.max_retries
-                and not job.cancel_requested
-                and not self._draining
-            ):
-                self.retried += 1
-                self.metrics.inc("qed_job_retries_total")
-                delay = self._backoff_delay(job.attempts, key=job.cache_key)
-                self.traces.add_event(
-                    job.job_id,
-                    "queue.retry",
-                    attempt=job.attempts,
-                    backoff_seconds=delay,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                job.state = JobState.QUEUED
-                job._queued_mono = time.monotonic()  # fresh queue-wait span
-                return delay
-            self.quarantined[job.cache_key] = {
-                "reason": "worker_crash",
-                "error": f"{type(exc).__name__}: {exc}",
-                "attempts": job.attempts,
-                "bug_id": job.spec.bug_id,
-                "at": time.time(),
-            }
-            self.metrics.inc("qed_quarantines_total")
-            self.traces.add_event(
-                job.job_id, "queue.quarantined", attempts=job.attempts
-            )
-        job.error = f"{type(exc).__name__}: {exc}"
-        job.state = JobState.FAILED
-        self.failed += 1
-        self.metrics.inc("qed_jobs_failed_total")
-        self.flight.dump(
-            job.job_id,
-            reason=(
-                "quarantined"
-                if job.cache_key in self.quarantined
-                else "failed"
-            ),
-            state=JobState.FAILED.value,
-            trace=self.traces.to_json_dict(job.job_id),
-            error=job.error,
-            attempts=job.attempts,
-        )
-        return None
-
     async def _requeue_after(self, job: Job, delay: float) -> None:
-        """(Backoff) Re-queue a crash-retried job after *delay* seconds."""
+        """(Backoff) Push a crash-retried job back on the heap after *delay*."""
         await asyncio.sleep(delay)
         if job.state is not JobState.QUEUED:
             return  # cancelled during the backoff window
@@ -1071,19 +903,19 @@ class JobQueue:
         self._wake.set()
 
     # ------------------------------------------------------------------
-    # Remote dispatch (the fleet coordinator's queue-side surface).  All
-    # four methods run on the loop, called from /fleet/* handlers or the
-    # coordinator's reaper task, and mirror the local dispatch paths
-    # exactly -- same spans, same counters, same completion code.
+    # Dispatch and outcomes, shared by local children and the fleet.  All
+    # four methods run on the loop: called by the scheduler and
+    # :meth:`_run_job`, or by /fleet/* handlers and the coordinator's
+    # reaper task -- same spans, same counters, same completion code.
 
-    def fleet_lease_pop(self) -> Optional[Job]:
-        """Pop the next runnable job for a remote lease grant.
+    def pop_next(self, *, remote: bool) -> Optional[Job]:
+        """Pop the next runnable job for a local child or a lease grant.
 
-        The remote twin of the scheduler's pop: skips stale heap entries,
-        expires dead-on-arrival deadlines, transitions the job to RUNNING
-        and opens its attempt span (remote batches re-root under it, like
-        worker-pool batches do locally).  Local workers and the fleet pull
-        from the same heap, so mixed deployments just work.
+        Skips stale heap entries, expires dead-on-arrival deadlines,
+        transitions the job to RUNNING and opens its attempt span (the
+        child's or remote worker's batches re-root under it).  Local
+        children and the fleet pull from the same heap, so mixed
+        deployments just work.
         """
         if self._draining:
             return None
@@ -1111,30 +943,30 @@ class JobQueue:
                 now_mono,
                 None,
                 attempt=job.attempts + 1,
-                remote=True,
+                remote=remote,
             )
             self._bump(job)
             return job
         return None
 
     def _finish_terminal(self, job: Job) -> None:
-        """Completion bookkeeping shared by every remote terminal path."""
+        """Completion bookkeeping shared by every terminal dispatch path."""
         job.finished_at = time.time()
         if self._inflight.get(job.cache_key) is job:
             del self._inflight[job.cache_key]
         self._retire(job)
         self._bump(job)
 
-    def fleet_complete(self, job: Job, result: Dict[str, object]) -> None:
-        """Commit a fenced remote success through the local success path."""
+    def complete(self, job: Job, result: Dict[str, object]) -> None:
+        """Apply a dispatch's result (a child's, or a fenced remote commit)."""
         self._finish_success(job, result)
         self._finish_terminal(job)
 
-    def fleet_fail(self, job: Job, error: str) -> None:
-        """Fail a remote job on a deterministic entry error (no retry).
+    def fail(self, job: Job, error: str) -> None:
+        """Fail a job on a deterministic entry error (no retry).
 
-        Mirrors the local policy: an exception *raised by* the entry
-        repeats on re-run, so retrying it remotely would waste a lease.
+        An exception *raised by* the entry repeats on re-run, so retrying
+        it would only waste a child or a lease.
         """
         self.traces.close_span(
             job.job_id, job._attempt_span_id, time.monotonic(),
@@ -1154,14 +986,16 @@ class JobQueue:
         )
         self._finish_terminal(job)
 
-    def fleet_requeue(self, job: Job, *, reason: str) -> bool:
-        """Hand a leased job back (lease expiry, dead worker, crash report).
+    def requeue(self, job: Job, *, reason: str) -> bool:
+        """Hand a running job back: its child died (``worker_crash``), or
+        its lease expired, its worker died or reported a crash.
 
-        Runs the same capped-backoff/quarantine machinery as a local pool
-        crash: up to ``max_retries`` jittered requeues, then the spec is
-        quarantined and the job FAILED.  Returns ``True`` when the job is
-        queued again (including the draining case, where it re-enters
-        QUEUED so the drain snapshot persists it for the restart).
+        The job never got an answer, so re-running is safe: up to
+        ``max_retries`` jittered, capped-backoff requeues, then the spec is
+        quarantined (resubmissions fail fast) and the job FAILED.  Returns
+        ``True`` when the job is queued again (including the draining case,
+        where it re-enters QUEUED so the drain snapshot persists it for the
+        restart).
         """
         if job.state is not JobState.RUNNING:
             return False
@@ -1193,7 +1027,7 @@ class JobQueue:
             return True
         self.quarantined[job.cache_key] = {
             "reason": reason,
-            "error": f"remote attempts exhausted ({reason})",
+            "error": f"attempts exhausted ({reason})",
             "attempts": job.attempts,
             "bug_id": job.spec.bug_id,
             "at": time.time(),
@@ -1234,8 +1068,9 @@ class JobQueue:
         self._draining = True
         self._wake.set()
         # Remote leases count as in-flight work: their commits still land
-        # during the drain, and a worker that dies mid-drain has its lease
-        # expired by the reaper, which requeues the job into the snapshot.
+        # during the drain.  A local child or remote worker that dies
+        # mid-drain goes through requeue(), which puts the job back into
+        # the snapshot.
         while self._running or (
             self.fleet is not None and self.fleet.has_active_leases()
         ):
@@ -1382,8 +1217,6 @@ class JobQueue:
             "failed": self.failed,
             "cancelled": self.cancelled,
             "retried": self.retried,
-            "pool_rebuilds": self.pool_rebuilds,
-            "pool_broken": self._pool_broken,
             "deadline_expired": self.deadline_expired,
             "quarantined": len(self.quarantined),
             "quarantine_rejections": self.quarantine_rejections,
@@ -1407,8 +1240,8 @@ class JobQueue:
     def render_metrics(self) -> str:
         """Prometheus text for ``GET /metrics``.
 
-        Counters accumulate as they happen (queue events inline, worker
-        deltas merged off the progress pipe); point-in-time state is
+        Counters accumulate as they happen (queue events inline, child and
+        remote-worker deltas merged from their ``__obs__`` events); point-in-time state is
         refreshed as gauges at scrape time, including the result cache's
         own counters so the metrics endpoint and ``GET /stats`` agree.
         """

@@ -33,11 +33,10 @@ Endpoints
     Prometheus text exposition: queue/cache/retry counters, solver work
     counters merged up from worker processes, stage-seconds histograms.
 ``GET /healthz``
-    Liveness + readiness probe: ``200`` with queue depth, pool liveness
-    and cache-log writability when the service can take work, ``503``
-    (with the same payload) while the worker pool is being rebuilt after
-    a crash, the cache log is unwritable, the queue is draining, or a
-    fleet-only deployment (``workers=0``) has no live remote workers.
+    Liveness + readiness probe: ``200`` with queue depth and cache-log
+    writability when the service can take work, ``503`` (with the same
+    payload) while the cache log is unwritable, the queue is draining, or
+    a fleet-only deployment (``workers=0``) has no live remote workers.
     With a fleet attached the payload also carries live/suspect/dead
     worker counts and outstanding leases.
 ``POST /fleet/register|lease|heartbeat|complete|deregister``
@@ -575,9 +574,10 @@ class QEDServer:
     def _healthz(self) -> Tuple[int, dict]:
         """Readiness probe: 200 when the service can take work, else 503.
 
-        Not-ready causes: the worker pool died and has not been rebuilt
-        yet, the result-cache log lost writability (full disk, detached
-        volume), or the queue is draining for shutdown.  The payload
+        Not-ready causes: the result-cache log lost writability (full
+        disk, detached volume), the queue is draining for shutdown, or a
+        fleet-only deployment has no live remote worker.  A crashed local
+        child is not one: the next job forks a fresh one.  The payload
         carries the individual signals either way, so an operator sees
         *why* from the probe itself.
         """
@@ -589,17 +589,11 @@ class QEDServer:
         no_executors = self.queue.workers == 0 and (
             fleet is None or fleet.live_workers() == 0
         )
-        ready = (
-            not stats["pool_broken"]
-            and not stats["draining"]
-            and cache_writable
-            and not no_executors
-        )
+        ready = not stats["draining"] and cache_writable and not no_executors
         payload = {
             "ok": ready,
             "queued": stats["queued"],
             "running": stats["running"],
-            "pool_broken": stats["pool_broken"],
             "draining": stats["draining"],
             "cache_writable": cache_writable,
             "no_executors": no_executors,
@@ -646,7 +640,7 @@ class LocalServer:
     """Run the whole serving stack on a background thread.
 
     ``with LocalServer(...) as url:`` yields a ready ``http://host:port``
-    and tears everything down (server, queue, executor) on exit.  This is
+    and tears everything down (server, queue) on exit.  This is
     the in-process deployment: tests, the CLI's spawn-a-server modes and
     the quickstart example all use it.
     """

@@ -71,13 +71,13 @@ class TestKillRetryTrace:
             attempts = _attempt_spans(trace)
             assert [a["attrs"]["attempt"] for a in attempts] == [1, 2]
             # The killed dispatch closed on the crash, the retry on done.
-            assert attempts[0]["attrs"]["outcome"] == "BrokenProcessPool"
+            assert attempts[0]["attrs"]["outcome"] == "worker_crash"
             assert attempts[1]["attrs"]["outcome"] == "done"
             # The retry decision itself is on the record as a span event.
             events = [e for e in trace["events"] if e["name"] == "queue.retry"]
             assert len(events) == 1 and events[0]["attrs"]["attempt"] == 1
             assert queue.metrics.counter_value("qed_job_retries_total") == 1
-            assert queue.metrics.counter_value("qed_pool_rebuilds_total") == 1
+            assert events[0]["attrs"]["error"] == "worker_crash"
 
         run(with_queue(body))
 
@@ -110,7 +110,7 @@ class TestQuarantineFlightRecord:
             attempts = _attempt_spans(payload["trace"])
             assert len(attempts) == queue.max_retries + 1
             assert all(
-                a["attrs"]["outcome"] == "BrokenProcessPool" for a in attempts
+                a["attrs"]["outcome"] == "worker_crash" for a in attempts
             )
             event_names = [e["name"] for e in payload["trace"]["events"]]
             assert event_names.count("queue.retry") == queue.max_retries

@@ -7,6 +7,8 @@ degrade to UNKNOWN/FAILED is allowed, a wrong answer never is.
 """
 
 import asyncio
+import os
+import time
 
 from repro import faults
 from repro.serve.cache import ResultCache
@@ -52,7 +54,7 @@ def assert_fault_free_verdict(record):
 
 
 class TestWorkerKillRetry:
-    """Scenario: the worker process is killed once; the retry succeeds."""
+    """Scenario: the job's child is killed once; the retry succeeds."""
 
     def test_kill_once_then_retry_matches_fault_free(self, tmp_path):
         faults.install(
@@ -77,7 +79,12 @@ class TestWorkerKillRetry:
             assert_fault_free_verdict(job.record)
             assert job.attempts == 1  # exactly one crash, one retry
             assert queue.retried == 1
-            assert queue.pool_rebuilds == 1
+            [retry] = [
+                e
+                for e in queue.traces.to_json_dict(job.job_id)["events"]
+                if e["name"] == "queue.retry"
+            ]
+            assert retry["attrs"]["error"] == "worker_crash"
             assert queue.failed == 0
             assert not queue.quarantined
 
@@ -105,19 +112,23 @@ class TestPoisonQuarantine:
             doomed = queue.submit(spec("__echo__", tag="poison"))
             await wait_terminal(queue, doomed, timeout=120.0)
             assert doomed.state is JobState.FAILED
-            assert "Broken" in doomed.error
+            assert "worker_crash" in doomed.error
             assert doomed.attempts == queue.max_retries + 1
             assert doomed.cache_key in queue.quarantined
             reason = queue.quarantined[doomed.cache_key]
             assert reason["reason"] == "worker_crash"
             assert reason["attempts"] == doomed.attempts
 
-            # Resubmission fails fast: no dispatch, no new pool burned.
-            rebuilds = queue.pool_rebuilds
+            # Resubmission fails fast: the rejected job made no dispatch.
             rejected = queue.submit(spec("__echo__", tag="poison"))
             assert rejected.state is JobState.FAILED
             assert "quarantined" in rejected.error
-            assert queue.pool_rebuilds == rebuilds
+            assert rejected.attempts == 0
+            assert not [
+                s
+                for s in queue.traces.to_json_dict(rejected.job_id)["spans"]
+                if s["name"] == "queue.attempt"
+            ]
             assert queue.quarantine_rejections == 1
 
             # The operator override: clear the fault, force a re-run.
@@ -221,6 +232,11 @@ class TestDeadlines:
         run(with_queue(body, entry=_legacy_entry))
 
 
+def _sleep_then_crash_entry(spec_dict, job_id="", emit=None, **kwargs):
+    time.sleep(0.5)
+    os._exit(1)
+
+
 def _legacy_entry(spec_dict, job_id="", progress=None):
     return {
         "record": {
@@ -234,6 +250,35 @@ def _legacy_entry(spec_dict, job_id="", progress=None):
 
 class TestDrainAndResume:
     """Scenario: graceful shutdown persists queued work; restore resumes."""
+
+    def test_child_crash_during_drain_requeues_into_snapshot(self):
+        # The job's child dies mid-solve while the queue drains: the job
+        # never got an answer, so it belongs in the snapshot for the
+        # restart -- not FAILED and its spec quarantined after 1 attempt.
+        async def body(queue):
+            job = queue.submit(spec("__echo__", tag="dies-in-drain"))
+            while job.state is JobState.QUEUED:
+                await queue.wait(job, since=job.version, timeout=1.0)
+            state = await queue.drain()
+            [item] = state["queued"]
+            assert item["spec"]["config"]["tag"] == "dies-in-drain"
+            assert job.state is JobState.CANCELLED
+            assert job.attempts == 0
+            assert job.cache_key not in queue.quarantined
+            assert queue.failed == 0
+            return state
+
+        state = run(
+            with_queue(body, entry=_sleep_then_crash_entry, use_processes=True)
+        )
+
+        async def resume(queue):
+            [job] = queue.restore_state(state)
+            await wait_terminal(queue, job)
+            assert job.state is JobState.DONE
+            assert_fault_free_verdict(job.record)
+
+        run(with_queue(resume))
 
     def test_drain_snapshots_queued_and_rejects_new(self):
         async def body(queue):

@@ -13,6 +13,8 @@ from repro.eval import (
     setup_effort_table,
 )
 from repro.eval.campaign import BugDetectionRecord, CampaignResult
+from repro.obs import metrics as obs_metrics
+from repro.obs import telemetry as obs_telemetry
 from repro.eval import CampaignConfig, detect_bug, run_campaign
 from repro.uarch.bugs import BUGS
 
@@ -83,7 +85,7 @@ class TestReports:
 
 
 class TestParallelCampaign:
-    """The process-pool fan-out must not change what the campaign records."""
+    """The per-bug children must not change what the campaign records."""
 
     BUG_IDS = ["sra_zero_fill", "cmpi_carry_spec"]
 
@@ -116,13 +118,39 @@ class TestParallelCampaign:
             run_industrial_flow=False,
             run_directed_tests=False,
         )
-        serial = run_campaign(config, workers=1)
-        parallel = run_campaign(config, workers=2)
+        serial, serial_obs = self._observed(run_campaign, config, workers=1)
+        parallel, parallel_obs = self._observed(run_campaign, config, workers=2)
         assert [self._comparable(r) for r in serial.records] == [
             self._comparable(r) for r in parallel.records
         ]
         # Deterministic merge: records come back in bug-selection order.
         assert [r.bug_id for r in parallel.records] == self.BUG_IDS
+        # What the jobs recorded reaches the parent either way: the same
+        # process-metric counters and the same number of heartbeats.
+        assert serial_obs["counters"]["qed_bounds_total"] > 0
+        assert serial_obs["heartbeats"] > 0
+        assert parallel_obs == serial_obs
+
+    @staticmethod
+    def _observed(run, *args, **kwargs):
+        """Run under a fresh registry and an unthrottled telemetry sink;
+        return the result plus the deterministic counter totals (wall-clock
+        counters left out) and the heartbeat count."""
+        registry = obs_metrics.reset_process_metrics()
+        sink = obs_telemetry.install(
+            obs_telemetry.TelemetrySink(min_interval_seconds=0.0)
+        )
+        try:
+            result = run(*args, **kwargs)
+        finally:
+            obs_telemetry.clear()
+            obs_metrics.reset_process_metrics()
+        counters = {
+            name: sum(value for _, value in rows)
+            for name, rows in registry.snapshot()["counters"].items()
+            if "seconds" not in name
+        }
+        return result, {"counters": counters, "heartbeats": sink.mark()}
 
     def test_detect_bug_matches_campaign_record(self):
         config = CampaignConfig(

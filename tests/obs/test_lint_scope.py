@@ -44,3 +44,4 @@ class TestObsInForkScope:
         with open(script, "r", encoding="utf-8") as stream:
             text = stream.read()
         assert "src/repro/obs/*.py" in text
+        assert "src/repro/procs.py" in text
